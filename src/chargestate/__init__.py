@@ -7,16 +7,12 @@ Husimi phase-space grids.
 """
 
 from .diagnostics import (
+    DIAGNOSTICS,
     DiagnosticsReport,
     MomentSet,
-    cauchy_schwartz,
     full_report,
-    g2,
-    g12,
-    mandel,
     moments,
     photon_distribution,
-    quadrature_variance,
 )
 from .errors import (
     ChargeStateError,

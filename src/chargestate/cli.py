@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,6 +78,8 @@ class SweepSpec:
             raise SpecParseError(self.diagnostic, f"unknown diagnostic {self.diagnostic!r}")
         if self.steps < 2:
             raise PreconditionError("sweep needs steps >= 2")
+        if not (math.isfinite(self.xi_start) and math.isfinite(self.xi_end)):
+            raise PreconditionError("sweep needs a finite xi range")
         if not self.xi_start < self.xi_end:
             raise PreconditionError("sweep needs xi_start < xi_end")
         if self.n_max < 1:
@@ -105,6 +108,8 @@ def _parse_complex_pair(text: str, flag: str) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise SpecParseError(text, f"{flag} expects decimal re[,im], got {text!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise SpecParseError(text, f"{flag} expects finite re[,im], got {text!r}")
     return complex(re, im)
 
 
@@ -179,26 +184,12 @@ def _sweep_rows(spec: SweepSpec):
     rows = []
     for xi in spec.xi_values():
         state = build_deformed(f, spec.q, xi, TruncationPolicy(spec.n_max))
-        value = _evaluate_diagnostic(state, spec.diagnostic)
+        value = dg.DIAGNOSTICS[spec.diagnostic](dg.moments(state))
         if value is None:
             rows.append(f"{fmt(xi)},,0")
         else:
             rows.append(f"{fmt(xi)},{fmt(value)},1")
     return rows
-
-
-def _evaluate_diagnostic(state, diagnostic):
-    if diagnostic == "mandel_a":
-        return dg.mandel(state, "a")
-    if diagnostic == "mandel_b":
-        return dg.mandel(state, "b")
-    if diagnostic == "g2_a":
-        return dg.g2(state, "a")
-    if diagnostic == "g2_b":
-        return dg.g2(state, "b")
-    if diagnostic == "g12":
-        return dg.g12(state)
-    return dg.cauchy_schwartz(state)
 
 
 def _pnd_csv(state) -> str:

@@ -4,13 +4,17 @@ All quantities are weighted sums of the squared coefficients over the
 truncated ladder, accumulated with fsum in a fixed serial order.  Criteria
 whose defining denominator vanishes are reported as None (an explicit
 "undefined" value), never as NaN.
+
+Each criterion is a pure function of one MomentSet, kept in the DIAGNOSTICS
+registry by name, so a caller computes ``moments(state)`` once per state and
+reads any number of criteria from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,7 +26,8 @@ class MomentSet:
     """The mode-occupation moments entering the nonclassicality criteria.
 
     aa_corr and bb_corr are the normally ordered pair moments <a+a+ a a> and
-    <b+b+ b b>; on a fixed-charge ladder they equal <n^2> - <n> exactly.
+    <b+b+ b b>; on a fixed-charge ladder they equal <n^2> - <n> exactly, but
+    they are summed directly because the difference rounds differently.
     """
 
     mean_na: float
@@ -55,60 +60,60 @@ def moments(state: ChargeState) -> MomentSet:
     )
 
 
-def _mode_moments(mom: MomentSet, mode: str):
-    if mode == "a":
-        return mom.mean_na, mom.mean_na2, mom.aa_corr
-    if mode == "b":
-        return mom.mean_nb, mom.mean_nb2, mom.bb_corr
-    raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-
-
-def mandel(state: ChargeState, mode: str = "a") -> Optional[float]:
+def _mandel(mean: float, mean2: float) -> Optional[float]:
     """Mandel parameter (<n^2> - <n>^2)/<n> - 1; None when <n> = 0."""
-    mean, mean2, _ = _mode_moments(moments(state), mode)
     if mean == 0.0:
         return None
     return (mean2 - mean * mean) / mean - 1.0
 
 
-def g2(state: ChargeState, mode: str = "a") -> Optional[float]:
+def _g2(mean: float, corr: float) -> Optional[float]:
     """Second-order correlation <x+x+ x x>/<n_x>^2; None when <n_x> = 0."""
-    mean, _, corr = _mode_moments(moments(state), mode)
     if mean == 0.0:
         return None
     return corr / (mean * mean)
 
 
-def g12(state: ChargeState) -> Optional[float]:
+def _g12(mom: MomentSet) -> Optional[float]:
     """Inter-mode correlation <n_a n_b>/(<n_a><n_b>); None if a mean vanishes."""
-    mom = moments(state)
     if mom.mean_na == 0.0 or mom.mean_nb == 0.0:
         return None
     return mom.cross / (mom.mean_na * mom.mean_nb)
 
 
-def cauchy_schwartz(state: ChargeState) -> Optional[float]:
+def _cauchy_schwartz(mom: MomentSet) -> Optional[float]:
     """Cauchy-Schwartz ratio sqrt(<a+2a2><b+2b2>)/|<n_a n_b>| - 1.
 
     Negative values violate the classical inequality.  None when the cross
     moment vanishes.
     """
-    mom = moments(state)
     if mom.cross == 0.0:
         return None
     return math.sqrt(mom.aa_corr * mom.bb_corr) / abs(mom.cross) - 1.0
 
 
-def quadrature_variance(state: ChargeState) -> tuple[float, float]:
-    """Variances of the x and p quadratures of mode a.
+def _quadrature_variance(mom: MomentSet) -> float:
+    """Variance of either quadrature of mode a.
 
     On a fixed-charge ladder every first moment and pair amplitude of a
     single mode vanishes (the kets are orthogonal two-mode number states),
-    so both variances reduce to <n_a> + 1/2 identically: no quadrature
-    squeezing is possible for these states.
+    so the x and p variances both reduce to <n_a> + 1/2 identically: no
+    quadrature squeezing is possible for these states.
     """
-    dx2 = moments(state).mean_na + 0.5
-    return dx2, dx2
+    return mom.mean_na + 0.5
+
+
+DIAGNOSTICS: dict[str, Callable[[MomentSet], Optional[float]]] = {
+    "mean_na": lambda mom: mom.mean_na,
+    "mandel_a": lambda mom: _mandel(mom.mean_na, mom.mean_na2),
+    "mandel_b": lambda mom: _mandel(mom.mean_nb, mom.mean_nb2),
+    "g2_a": lambda mom: _g2(mom.mean_na, mom.aa_corr),
+    "g2_b": lambda mom: _g2(mom.mean_nb, mom.bb_corr),
+    "g12": _g12,
+    "i0": _cauchy_schwartz,
+    "dx2": _quadrature_variance,
+    "dp2": _quadrature_variance,
+}
 
 
 def photon_distribution(state: ChargeState):
@@ -133,14 +138,6 @@ class DiagnosticsReport:
 
 
 def full_report(state: ChargeState) -> DiagnosticsReport:
-    dx2, dp2 = quadrature_variance(state)
-    return DiagnosticsReport(
-        mandel_a=mandel(state, "a"),
-        mandel_b=mandel(state, "b"),
-        g2_a=g2(state, "a"),
-        g2_b=g2(state, "b"),
-        g12=g12(state),
-        i0=cauchy_schwartz(state),
-        dx2=dx2,
-        dp2=dp2,
-    )
+    """Every DiagnosticsReport field, from one moments() pass over the state."""
+    mom = moments(state)
+    return DiagnosticsReport(**{f.name: DIAGNOSTICS[f.name](mom) for f in fields(DiagnosticsReport)})

@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .fockmath import log_factorial
-from .states import ChargeState
-
-THREADS_ENV = "CHARGESTATE_THREADS"
+from .states import ChargeState, log_factorial
 
 
 @dataclass(frozen=True)
@@ -101,26 +96,15 @@ def husimi_point(state: ChargeState, alpha1: complex, alpha2: complex) -> float:
     return _OverlapTerms(state).evaluate(complex(alpha1), complex(alpha2))
 
 
-def _thread_count(threads) -> int:
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "0") or "0")
-    if threads <= 0:
-        return 1
-    return threads
-
-
 def husimi_grid(
     state: ChargeState,
     alpha2: complex,
     x_range: tuple[float, float, int],
     y_range: tuple[float, float, int],
-    threads: int | None = None,
 ) -> HusimiGrid:
     """Evaluate Q over the lattice of Re(alpha1), Im(alpha1).
 
-    Each lattice node is a self-contained husimi_point evaluation, so the
-    result is bit-identical whether computed serially or across threads
-    (thread count from CHARGESTATE_THREADS when not given; 0 means serial).
+    Each lattice node is a self-contained husimi_point evaluation.
     """
     x0, x1, nx = x_range
     y0, y1, ny = y_range
@@ -132,18 +116,9 @@ def husimi_grid(
     terms = _OverlapTerms(state)
     alpha2 = complex(alpha2)
 
-    def fill_row(ix):
-        base = ix * ny
+    for ix in range(nx):
         for iy in range(ny):
-            values[base + iy] = terms.evaluate(complex(xs[ix], ys[iy]), alpha2)
-
-    n_threads = _thread_count(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill_row, range(nx)))
-    else:
-        for ix in range(nx):
-            fill_row(ix)
+            values[ix * ny + iy] = terms.evaluate(complex(xs[ix], ys[iy]), alpha2)
     return HusimiGrid(alpha2=complex(alpha2), x_range=tuple(x_range), y_range=tuple(y_range), values=values)
 
 

@@ -44,8 +44,8 @@ class NonlinearityFunction:
                 raise ParameterRangeError(f"penson_solomon requires p in (0, 1], got {p}")
         elif self.kind == Q_DEFORMED:
             qq = self.params.get("qq")
-            if qq is None or qq <= 0.0 or qq == 1.0:
-                raise ParameterRangeError(f"q_deformed requires qq > 0, qq != 1, got {qq}")
+            if qq is None or not math.isfinite(qq) or qq <= 0.0 or qq == 1.0:
+                raise ParameterRangeError(f"q_deformed requires finite qq > 0, qq != 1, got {qq}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def __call__(self, n: int) -> float:

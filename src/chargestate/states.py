@@ -43,17 +43,13 @@ def branch_for_charge(q: int) -> str:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Ladder cutoff plus the tolerances used when reporting convergence."""
+    """Ladder cutoff: the highest ladder index kept (inclusive)."""
 
     n_max: int
-    residual_tol: float = 1e-9
-    convergence_tol: float = 1e-3
 
     def __post_init__(self):
         if self.n_max < 0:
             raise PreconditionError("n_max must be >= 0")
-        if self.residual_tol <= 0 or self.convergence_tol <= 0:
-            raise PreconditionError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,21 +128,26 @@ def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
     Returns (diag, offdiag) with diag[n] the diagonal entry at ladder index n
     and offdiag[n] the symmetric coupling between indices n-1 and n
     (offdiag[0] = 0; offdiag has length n_max + 2 so the boundary coupling out
-    of the truncation window is available).
+    of the truncation window is available).  An element that overflows
+    double precision, as inf or as an OverflowError raised while evaluating
+    f, raises LadderOverflowError naming its ladder index.
     """
     a = abs(q)
     diag = np.empty(n_max + 1)
     off = np.zeros(n_max + 2)
-    if q >= 0:
-        for n in range(n_max + 1):
-            diag[n] = (n + q + 1) * f.squared(n + q + 1) + n * f.squared(n)
-        for n in range(1, n_max + 2):
-            off[n] = math.sqrt((n + q) * n) * f(n + q) * f(n)
-    else:
-        for n in range(n_max + 1):
-            diag[n] = (n + 1) * f.squared(n + 1) + (n + a) * f.squared(n + a)
-        for n in range(1, n_max + 2):
-            off[n] = math.sqrt(n * (n + a)) * f(n) * f(n + a)
+    try:
+        if q >= 0:
+            for n in range(n_max + 1):
+                diag[n] = (n + q + 1) * f.squared(n + q + 1) + n * f.squared(n)
+            for n in range(1, n_max + 2):
+                off[n] = math.sqrt((n + q) * n) * f(n + q) * f(n)
+        else:
+            for n in range(n_max + 1):
+                diag[n] = (n + 1) * f.squared(n + 1) + (n + a) * f.squared(n + a)
+            for n in range(1, n_max + 2):
+                off[n] = math.sqrt(n * (n + a)) * f(n) * f(n + a)
+    except OverflowError:
+        raise LadderOverflowError(n) from None
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         bad = int(np.argmax(~np.isfinite(diag))) if not np.isfinite(diag).all() \
             else int(np.argmax(~np.isfinite(off)))
@@ -397,14 +398,10 @@ def apply_tridiagonal(f: nl.NonlinearityFunction, state: ChargeState):
     n_max = state.n_max
     diag, off = ladder_elements(f, state.q, n_max)
     c = state.coeffs
-    out = np.empty(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
-        v = diag[n] * c[n]
-        if n > 0:
-            v += off[n] * c[n - 1]
-        if n < n_max:
-            v += off[n + 1] * c[n + 1]
-        out[n] = v
+    # row n is diag[n] c[n] + off[n] c[n-1] + off[n+1] c[n+1], added in that order
+    out = diag * c
+    out[1:] += off[1 : n_max + 1] * c[:-1]
+    out[:-1] += off[1 : n_max + 1] * c[1:]
     leakage = abs(off[n_max + 1] * c[n_max])
     return out, leakage
 
@@ -486,13 +483,7 @@ def convergence_report(
     def values(n_max):
         state = build_deformed(f, q, xi, TruncationPolicy(n_max))
         mom = dg.moments(state)
-        return state, {
-            "mean_na": mom.mean_na,
-            "mandel_a": dg.mandel(state, "a"),
-            "g2_a": dg.g2(state, "a"),
-            "g12": dg.g12(state),
-            "i0": dg.cauchy_schwartz(state),
-        }
+        return state, {name: dg.DIAGNOSTICS[name](mom) for name in CONVERGENCE_DIAGNOSTICS}
 
     coarse_state, coarse = values(n1)
     fine_state, fine = values(n2)

@@ -44,6 +44,26 @@ class TestBuild:
         assert code == 2
         assert "index" in err
 
+    @pytest.mark.parametrize("spec,n_max", [("qdef:7", "400"), ("ps:0.5", "1280")])
+    def test_overflow_while_evaluating_f_exits_2(self, capsys, spec, n_max):
+        # math.sinh (qdef) and float pow (ps) raise OverflowError, not inf
+        code, _, err = run(capsys, "build", "--f", spec, "--q", "1",
+                           "--xi", "5", "--nmax", n_max)
+        assert code == 2
+        assert "index" in err
+
+    @pytest.mark.parametrize("spec", ["qdef:nan", "qdef:inf"])
+    def test_non_finite_deformation_parameter_exits_1(self, capsys, spec):
+        code, out, err = run(capsys, "build", "--f", spec, "--q", "1",
+                             "--xi", "5", "--nmax", "10")
+        assert code == 1 and out == ""
+        assert "qq" in err
+
+    def test_non_finite_xi_exits_1(self, capsys):
+        code, out, _ = run(capsys, "build", "--f", "unity", "--q", "1",
+                           "--xi", "nan", "--nmax", "10")
+        assert code == 1 and out == ""
+
     def test_complex_xi_and_file_output(self, capsys, tmp_path):
         target = tmp_path / "state.json"
         code, out, _ = run(capsys, "build", "--f", "qdef:7", "--q", "-2",
@@ -86,6 +106,12 @@ class TestSweep:
                          "--q", "1", "--xi-start", "10", "--xi-end", "1",
                          "--steps", "5", "--nmax", "20")
         assert code == 1
+
+    def test_non_finite_range_rejected(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--diagnostic", "g2_a", "--f", "unity",
+                           "--q", "1", "--xi-start", "1", "--xi-end", "inf",
+                           "--steps", "3", "--nmax", "10")
+        assert code == 1 and out == ""
 
     def test_undefined_rows_carry_empty_value(self, capsys):
         # mode b is empty on the whole q >= 0 ladder only for the bare ket;

@@ -1,26 +1,42 @@
 """Tests for photon statistics and nonclassicality criteria."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from chargestate import diagnostics as dg
+from chargestate.cli import SWEEP_DIAGNOSTICS, SweepSpec, _sweep_rows
 from chargestate.diagnostics import (
-    cauchy_schwartz,
+    DIAGNOSTICS,
+    DiagnosticsReport,
     full_report,
-    g2,
-    g12,
-    mandel,
     moments,
     photon_distribution,
-    quadrature_variance,
 )
 from chargestate.nonlinearity import intensity_sqrt, penson_solomon, q_deformed, unity
-from chargestate.states import ChargeState, TruncationPolicy, apply_tridiagonal, build_deformed
+from chargestate.states import (
+    CONVERGENCE_DIAGNOSTICS,
+    ChargeState,
+    TruncationPolicy,
+    apply_tridiagonal,
+    build_deformed,
+    convergence_report,
+)
 
 from _oracles import TwoModeSpace
 
 CATALOG = [unity(), penson_solomon(0.5), intensity_sqrt(), q_deformed(7.0)]
+
+
+def diagnostic(state, name):
+    return DIAGNOSTICS[name](moments(state))
+
+
+def quadrature_variance(state):
+    mom = moments(state)
+    return DIAGNOSTICS["dx2"](mom), DIAGNOSTICS["dp2"](mom)
 
 
 def single_ket(q):
@@ -73,52 +89,52 @@ class TestMoments:
 
 class TestMandel:
     def test_number_state(self):
-        assert mandel(single_ket(2), "a") == pytest.approx(-1.0)
+        assert diagnostic(single_ket(2), "mandel_a") == pytest.approx(-1.0)
 
     def test_poissonian(self):
-        assert mandel(poisson_state(), "b") == pytest.approx(0.0, abs=1e-8)
+        assert diagnostic(poisson_state(), "mandel_b") == pytest.approx(0.0, abs=1e-8)
 
     def test_undefined_on_empty_mode(self):
-        assert mandel(single_ket(2), "b") is None
+        assert diagnostic(single_ket(2), "mandel_b") is None
 
     @pytest.mark.parametrize("f", CATALOG)
     def test_lower_bound(self, f):
-        value = mandel(build_deformed(f, 1, 5.0, TruncationPolicy(60)), "a")
+        value = diagnostic(build_deformed(f, 1, 5.0, TruncationPolicy(60)), "mandel_a")
         assert value is not None and value >= -1.0
 
 
 class TestG2:
     def test_number_state(self):
         # q(q-1)/q^2 for the bare |q, 0> ket
-        assert g2(single_ket(3), "a") == pytest.approx(2.0 / 3.0)
+        assert diagnostic(single_ket(3), "g2_a") == pytest.approx(2.0 / 3.0)
 
     def test_poissonian(self):
-        assert g2(poisson_state(), "b") == pytest.approx(1.0, abs=1e-8)
+        assert diagnostic(poisson_state(), "g2_b") == pytest.approx(1.0, abs=1e-8)
 
     def test_undefined_on_empty_mode(self):
-        assert g2(single_ket(3), "b") is None
+        assert diagnostic(single_ket(3), "g2_b") is None
 
     def test_nonnegative(self):
         for f in CATALOG:
-            value = g2(build_deformed(f, -1, 5.0, TruncationPolicy(60)), "a")
+            value = diagnostic(build_deformed(f, -1, 5.0, TruncationPolicy(60)), "g2_a")
             assert value is not None and value >= 0.0
 
 
 class TestG12:
     def test_two_term_hand_sum(self):
-        assert g12(two_ket_equal(1)) == pytest.approx(4.0 / 3.0)
+        assert diagnostic(two_ket_equal(1), "g12") == pytest.approx(4.0 / 3.0)
 
     def test_undefined_for_single_ket(self):
-        assert g12(single_ket(2)) is None
+        assert diagnostic(single_ket(2), "g12") is None
 
 
 class TestCauchySchwartz:
     def test_two_term_hand_sum(self):
         # bb_corr = 0 exactly, so the ratio is -1
-        assert cauchy_schwartz(two_ket_equal(1)) == pytest.approx(-1.0)
+        assert diagnostic(two_ket_equal(1), "i0") == pytest.approx(-1.0)
 
     def test_undefined_when_cross_vanishes(self):
-        assert cauchy_schwartz(single_ket(2)) is None
+        assert diagnostic(single_ket(2), "i0") is None
 
 
 class TestQuadratureVariance:
@@ -148,6 +164,23 @@ class TestPhotonDistribution:
     def test_occupations_follow_branch(self):
         rows = photon_distribution(build_deformed(unity(), -2, 5.0, TruncationPolicy(5)))
         assert [(r[1], r[2]) for r in rows] == [(n, n + 2) for n in range(6)]
+
+
+class TestRegistry:
+    def test_every_consumer_name_is_registered(self):
+        assert set(SWEEP_DIAGNOSTICS) <= set(DIAGNOSTICS)
+        assert set(CONVERGENCE_DIAGNOSTICS) <= set(DIAGNOSTICS)
+        assert {f.name for f in fields(DiagnosticsReport)} <= set(DIAGNOSTICS)
+
+    def test_one_moments_pass_per_state(self, monkeypatch):
+        seen = []
+        real = dg.moments
+        monkeypatch.setattr(dg, "moments", lambda state: seen.append(state) or real(state))
+        full_report(build_deformed(unity(), 1, 5.0, TruncationPolicy(20)))
+        convergence_report(unity(), 1, 5.0, 10, 20)
+        _sweep_rows(SweepSpec("g2_a", 1.0, 2.0, 3, "unity", 1, 10))
+        assert len(seen) == 1 + 2 + 3
+        assert len({id(state) for state in seen}) == len(seen)
 
 
 class TestModeSwapSymmetry:

@@ -84,18 +84,6 @@ class TestHusimiGrid:
         with pytest.raises(PreconditionError):
             husimi_grid(state, 0j, (-1.0, 1.0, 1), (-1.0, 1.0, 3))
 
-    def test_threaded_evaluation_is_bit_identical(self):
-        state = build_deformed(q_deformed(7.0), -2, 5.0, TruncationPolicy(30))
-        serial = husimi_grid(state, 1 + 1j, (-3.0, 3.0, 7), (-3.0, 3.0, 7), threads=1)
-        threaded = husimi_grid(state, 1 + 1j, (-3.0, 3.0, 7), (-3.0, 3.0, 7), threads=4)
-        assert np.array_equal(serial.values, threaded.values)
-
-    def test_env_variable_controls_threads(self, monkeypatch):
-        monkeypatch.setenv("CHARGESTATE_THREADS", "2")
-        state = vacuum_state()
-        grid = husimi_grid(state, 0j, (-1.0, 1.0, 2), (-1.0, 1.0, 2))
-        assert len(grid.values) == 4
-
 
 class TestNormCheck:
     def test_vacuum_resolution_of_identity(self):

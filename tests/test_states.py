@@ -53,13 +53,6 @@ class TestTruncationPolicy:
         TruncationPolicy(0)
         with pytest.raises(PreconditionError):
             TruncationPolicy(-1)
-        with pytest.raises(PreconditionError):
-            TruncationPolicy(5, residual_tol=0.0)
-
-    def test_default_tolerances(self):
-        policy = TruncationPolicy(10)
-        assert policy.residual_tol == 1e-9
-        assert policy.convergence_tol == 1e-3
 
 
 class TestBuildDeformed:
