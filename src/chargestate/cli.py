@@ -256,6 +256,8 @@ def _run_pnd(args) -> int:
 def _run_husimi(args) -> int:
     if args.grid < 2:
         raise SpecParseError(str(args.grid), "--grid must be >= 2")
+    if not all(map(math.isfinite, (args.xmin, args.xmax, args.ymin, args.ymax))):
+        raise PreconditionError("--xmin, --xmax, --ymin and --ymax must be finite")
     f = parse_spec(args.f)
     xi = _parse_complex_pair(args.xi, "--xi")
     alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")

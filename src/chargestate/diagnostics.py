@@ -47,7 +47,7 @@ def moments(state: ChargeState) -> MomentSet:
     nbf = nb.astype(float)
 
     def wsum(values):
-        return math.fsum(w * values)
+        return math.fsum((w * values).tolist())
 
     return MomentSet(
         mean_na=wsum(naf),
@@ -120,7 +120,7 @@ def photon_distribution(state: ChargeState):
     """Rows (n, n_a, n_b, P) of the joint photon-number distribution."""
     na, nb = state.occupations()
     w = np.abs(state.coeffs) ** 2
-    return [(int(n), int(na[n]), int(nb[n]), float(w[n])) for n in range(state.n_max + 1)]
+    return list(zip(range(state.n_max + 1), na.tolist(), nb.tolist(), w.tolist()))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,10 @@ MINUS = "minus"
 # style deformations grow the raw coefficients geometrically.
 RESCALE_LIMIT = 1e150
 
+# Recursion steps whose coefficients are converted to Python numbers at once;
+# bounds the memory of those lists on long ladders.
+_STEP_CHUNK = 512
+
 
 def branch_for_charge(q: int) -> str:
     """q = 0 is assigned to the plus branch; both formulas coincide there."""
@@ -128,31 +132,90 @@ def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
     Returns (diag, offdiag) with diag[n] the diagonal entry at ladder index n
     and offdiag[n] the symmetric coupling between indices n-1 and n
     (offdiag[0] = 0; offdiag has length n_max + 2 so the boundary coupling out
-    of the truncation window is available).  An element that overflows
-    double precision, as inf or as an OverflowError raised while evaluating
-    f, raises LadderOverflowError naming its ladder index.
+    of the truncation window is available).  f is evaluated once per
+    occupation 0 .. n_max+|q|+1; an OverflowError raised while evaluating it
+    makes that value and every later one inf.  If any element is not finite,
+    LadderOverflowError names the lowest ladder index n at which diag[n] or
+    offdiag[n] is not, which is the same for every cutoff that reaches it.
     """
     a = abs(q)
-    diag = np.empty(n_max + 1)
-    off = np.zeros(n_max + 2)
+    size = n_max + a + 2
+    values = []
     try:
-        if q >= 0:
-            for n in range(n_max + 1):
-                diag[n] = (n + q + 1) * f.squared(n + q + 1) + n * f.squared(n)
-            for n in range(1, n_max + 2):
-                off[n] = math.sqrt((n + q) * n) * f(n + q) * f(n)
-        else:
-            for n in range(n_max + 1):
-                diag[n] = (n + 1) * f.squared(n + 1) + (n + a) * f.squared(n + a)
-            for n in range(1, n_max + 2):
-                off[n] = math.sqrt(n * (n + a)) * f(n) * f(n + a)
+        for k in range(size):
+            values.append(f(k))
     except OverflowError:
-        raise LadderOverflowError(n) from None
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        bad = int(np.argmax(~np.isfinite(diag))) if not np.isfinite(diag).all() \
-            else int(np.argmax(~np.isfinite(off)))
-        raise LadderOverflowError(bad)
+        values += [math.inf] * (size - len(values))
+    fv = np.array(values, dtype=float)
+    n = np.arange(n_max + 1)
+    off = np.zeros(n_max + 2)
+    # each element is formed in the operation order of its scalar formula,
+    # (n+q+1) f(n+q+1)^2 + n f(n)^2 and sqrt((n+q) n) f(n+q) f(n), so it is
+    # the same double
+    with np.errstate(over="ignore", invalid="ignore"):
+        f2 = fv * fv
+        if q >= 0:
+            diag = (n + q + 1) * f2[q + 1 : q + n_max + 2] + n * f2[: n_max + 1]
+            off[1:] = (np.sqrt(((n + 1 + q) * (n + 1)).astype(float))
+                       * fv[q + 1 : q + n_max + 2] * fv[1 : n_max + 2])
+        else:
+            diag = (n + 1) * f2[1 : n_max + 2] + (n + a) * f2[a : a + n_max + 1]
+            off[1:] = (np.sqrt(((n + 1) * (n + 1 + a)).astype(float))
+                       * fv[1 : n_max + 2] * fv[a + 1 : a + n_max + 2])
+    bad = ~np.isfinite(off)
+    bad[:-1] |= ~np.isfinite(diag)
+    if bad.any():
+        raise LadderOverflowError(int(bad.argmax()))
     return diag, off
+
+
+def _recursion_states(
+    f: nl.NonlinearityFunction, q: int, xi: complex, cutoffs
+) -> list[ChargeState]:
+    """States of the forward recursion at each of the increasing cutoffs.
+
+    One ladder is built for the last cutoff and one recursion runs up to it
+    on Python numbers, not numpy scalars.  The recursion never looks ahead,
+    so the state at an earlier cutoff, taken right after the step that
+    writes its last coefficient and before any later rescale, is
+    bit-identical to a separate build at that cutoff.
+    """
+    n_max = cutoffs[-1]
+    diag, off = ladder_elements(f, q, n_max)
+    zero = np.flatnonzero(off[1 : n_max + 1] == 0.0)
+    if zero.size:
+        raise ZeroDenominatorError(int(zero[0]) + 1)
+    c = np.zeros(n_max + 1, dtype=complex)
+    c[0] = cur = 1.0 + 0.0j
+    below = 0.0j
+    log_scale = 0.0
+    rescales = 0
+    states = []
+    n = 0
+    # step n computes ((xi - d_n) c_n - t_n c_{n-1}) * (1 / t_{n+1}); the
+    # reciprocal multiply rounds as numpy's complex-by-real division does
+    for stop in cutoffs:
+        while n < stop:
+            end = min(stop, n + _STEP_CHUNK)
+            for s, t_n, r in zip((xi - diag[n:end]).tolist(), off[n:end].tolist(),
+                                 (1.0 / off[n + 1 : end + 1]).tolist()):
+                nxt = (s * cur - t_n * below) * r
+                below, cur = cur, nxt
+                n += 1
+                c[n] = nxt
+                try:
+                    grow = abs(nxt) > RESCALE_LIMIT
+                except OverflowError:  # |nxt| beyond double range, finite parts
+                    grow = True
+                if grow:
+                    m = np.abs(c[: n + 1]).max()
+                    c[: n + 1] /= m
+                    below, cur = complex(c[n - 1]), complex(c[n])
+                    log_scale += math.log(m)
+                    rescales += 1
+        states.append(ChargeState.from_raw(q, xi, f, c[: stop + 1], log_scale=log_scale,
+                                           rescale_count=rescales))
+    return states
 
 
 def build_deformed(
@@ -165,28 +228,7 @@ def build_deformed(
     rescaled whenever a coefficient exceeds RESCALE_LIMIT (counted in
     ``rescale_count``).
     """
-    n_max = trunc.n_max
-    xi = complex(xi)
-    diag, off = ladder_elements(f, q, n_max)
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = 1.0
-    below = 0.0 + 0.0j
-    log_scale = 0.0
-    rescales = 0
-    for n in range(n_max):
-        t_up = off[n + 1]
-        if t_up == 0.0:
-            raise ZeroDenominatorError(n + 1)
-        nxt = ((xi - diag[n]) * c[n] - off[n] * below) / t_up
-        below = c[n]
-        c[n + 1] = nxt
-        if abs(nxt) > RESCALE_LIMIT:
-            m = np.abs(c[: n + 2]).max()
-            c[: n + 2] /= m
-            below /= m
-            log_scale += math.log(m)
-            rescales += 1
-    return ChargeState.from_raw(q, xi, f, c, log_scale=log_scale, rescale_count=rescales)
+    return _recursion_states(f, q, complex(xi), (trunc.n_max,))[0]
 
 
 def continued_fraction_ratio(
@@ -353,16 +395,14 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
         m = n + a
         # H_{m,n}(z,z) with z^2 = lam: sum_k (-1)^k W_k lam^(n-k) * lam^(a/2),
         # W_k = m! n! / (k! (m-k)! (n-k)!); scaled by 2^(el n) it is an
-        # integer series in ml = lam * 2^el.
+        # integer series in ml = lam * 2^el, summed by Horner in ml.
         total = 0
         w = 1
-        mlpow = ml**n
         for k in range(n + 1):
-            t = (w * mlpow) << (el * k)
-            total += -t if (k & 1) else t
+            t = w << (el * k)
+            total = total * ml + (-t if (k & 1) else t)
             if k < n:
                 w = w * (n - k) // (k + 1) * (m - k)
-                mlpow //= ml
         if total == 0:
             continue
         signs[n] = 1.0 if total > 0 else -1.0
@@ -467,7 +507,7 @@ def convergence_report(
     n2: int,
     diag_tol: float = 1e-3,
 ) -> ConvergenceReport:
-    """Compare states built at cutoffs n1 < n2.
+    """Compare states built at cutoffs n1 < n2, both from one recursion.
 
     A diagnostic is flagged converged when its relative change between the
     cutoffs is at most diag_tol (undefined values are never converged); the
@@ -476,17 +516,16 @@ def convergence_report(
     """
     if not (3 <= n1 < n2):
         raise PreconditionError("convergence_report requires 3 <= n1 < n2")
-    if diag_tol <= 0:
-        raise PreconditionError("diag_tol must be positive")
+    if not (math.isfinite(diag_tol) and diag_tol > 0):
+        raise PreconditionError("diag_tol must be finite and positive")
     from . import diagnostics as dg
 
-    def values(n_max):
-        state = build_deformed(f, q, xi, TruncationPolicy(n_max))
+    def values(state):
         mom = dg.moments(state)
-        return state, {name: dg.DIAGNOSTICS[name](mom) for name in CONVERGENCE_DIAGNOSTICS}
+        return {name: dg.DIAGNOSTICS[name](mom) for name in CONVERGENCE_DIAGNOSTICS}
 
-    coarse_state, coarse = values(n1)
-    fine_state, fine = values(n2)
+    coarse_state, fine_state = _recursion_states(f, q, complex(xi), (n1, n2))
+    coarse, fine = values(coarse_state), values(fine_state)
     drifts = []
     for name in CONVERGENCE_DIAGNOSTICS:
         v1, v2 = coarse[name], fine[name]

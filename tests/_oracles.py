@@ -196,3 +196,53 @@ def predicted_log10_pre_norm_ratio(f, q, n1, n2):
     if r <= 1.0:
         return 0.0
     return 2 * (n2 - n1) * math.log10(r)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference ladder and recursion.
+# ---------------------------------------------------------------------------
+
+def ladder_scalar(f, q, n_max):
+    """(diag, off) element by element, two f evaluations per element.
+
+    An OverflowError from f propagates; the kernel maps it to inf.
+    """
+    a = abs(q)
+    diag = np.empty(n_max + 1)
+    off = np.zeros(n_max + 2)
+    if q >= 0:
+        for n in range(n_max + 1):
+            diag[n] = (n + q + 1) * f.squared(n + q + 1) + n * f.squared(n)
+        for n in range(1, n_max + 2):
+            off[n] = math.sqrt((n + q) * n) * f(n + q) * f(n)
+    else:
+        for n in range(n_max + 1):
+            diag[n] = (n + 1) * f.squared(n + 1) + (n + a) * f.squared(n + a)
+        for n in range(1, n_max + 2):
+            off[n] = math.sqrt(n * (n + a)) * f(n) * f(n + a)
+    return diag, off
+
+
+def recursion_scalar(diag, off, xi, n_max, rescale_limit):
+    """Forward recursion on numpy scalars: (raw, log_scale, rescales).
+
+    Seeds c_{-1} = 0, c_0 = 1; the whole prefix is divided by its largest
+    magnitude whenever a coefficient exceeds rescale_limit.
+    """
+    xi = complex(xi)
+    c = np.zeros(n_max + 1, dtype=complex)
+    c[0] = 1.0
+    below = 0.0 + 0.0j
+    log_scale = 0.0
+    rescales = 0
+    for n in range(n_max):
+        nxt = ((xi - diag[n]) * c[n] - off[n] * below) / off[n + 1]
+        below = c[n]
+        c[n + 1] = nxt
+        if abs(nxt) > rescale_limit:
+            m = np.abs(c[: n + 2]).max()
+            c[: n + 2] /= m
+            below /= m
+            log_scale += math.log(m)
+            rescales += 1
+    return c, log_scale, rescales

@@ -183,6 +183,16 @@ class TestHusimiCmd:
                          "--ymin", "0", "--ymax", "1", "--grid", "1", "--nmax", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--ymin", "--ymax"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_range_rejected(self, capsys, flag, value):
+        bounds = {"--xmin": "-1", "--xmax": "1", "--ymin": "-1", "--ymax": "1", flag: value}
+        code, out, err = run(capsys, "husimi", "--f", "unity", "--q", "1", "--xi", "5",
+                             "--alpha2", "1,1", *(f"{k}={v}" for k, v in bounds.items()),
+                             "--grid", "2", "--nmax", "10")
+        assert code == 1 and out == ""
+        assert "finite" in err
+
 
 class TestVerify:
     def test_report_fields(self, capsys):
@@ -205,6 +215,13 @@ class TestVerify:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "verify", "--f", "unity", "--q", "1", "--nmax", "40")
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-3"])
+    def test_diag_tol_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--f", "unity", "--q", "1", "--xi", "5",
+                             "--nmax", "10", f"--diag-tol={tol}")
+        assert code == 1 and out == ""
+        assert "diag_tol" in err
 
     def test_default_second_cutoff(self, capsys):
         code, out, _ = run(capsys, "verify", "--f", "ps:0.5", "--q", "-1",

@@ -15,8 +15,10 @@ from chargestate.errors import (
 )
 from chargestate.nonlinearity import intensity_sqrt, penson_solomon, q_deformed, unity
 from chargestate.states import (
+    RESCALE_LIMIT,
     ChargeState,
     TruncationPolicy,
+    _recursion_states,
     apply_tridiagonal,
     branch_for_charge,
     build_deformed,
@@ -30,7 +32,7 @@ from chargestate.states import (
     state_to_document,
 )
 
-from _oracles import laguerre_series, unity_pre_norm_exact
+from _oracles import ladder_scalar, laguerre_series, recursion_scalar, unity_pre_norm_exact
 
 CATALOG = [unity(), penson_solomon(0.5), intensity_sqrt(), q_deformed(7.0)]
 
@@ -116,6 +118,94 @@ class TestBuildDeformed:
         # the q = 0 ladder is the same object regardless of branch formulas
         assert np.allclose(dp, 2 * np.arange(11) + 1)
         assert np.allclose(tp[1:-1], np.arange(1, 11))
+
+
+class _Counted:
+    """Deformation wrapper that records evaluations and overflows from an occupation on."""
+
+    def __init__(self, f, overflow_from=None):
+        self.f, self.overflow_from, self.calls = f, overflow_from, []
+
+    def __call__(self, n):
+        self.calls.append(n)
+        if self.overflow_from is not None and n >= self.overflow_from:
+            raise OverflowError("stub overflow")
+        return self.f(n)
+
+
+def _first_non_finite(diag, off):
+    bad = [int(np.argmax(~np.isfinite(x))) for x in (diag, off) if not np.isfinite(x).all()]
+    return min(bad) if bad else None
+
+
+class TestLadderKernel:
+    """The vectorised ladder and the float recursion against their scalar references."""
+
+    @pytest.mark.parametrize("f", CATALOG)
+    @pytest.mark.parametrize("q", range(-4, 5))
+    def test_bit_identical_to_scalar_reference(self, f, q):
+        for n_max in (0, 1, 3, 40, 80, 320, 640):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    diag, off = ladder_scalar(f, q, n_max)
+                finite = _first_non_finite(diag, off) is None
+            except OverflowError:
+                finite = False
+            if not finite:
+                with pytest.raises(LadderOverflowError):
+                    ladder_elements(f, q, n_max)
+                continue
+            got_diag, got_off = ladder_elements(f, q, n_max)
+            assert got_diag.tobytes() == diag.tobytes(), (q, n_max)
+            assert got_off.tobytes() == off.tobytes(), (q, n_max)
+            for xi in (1.0, 5.0, 2 + 1j, 0.625):
+                with np.errstate(all="ignore"):
+                    raw, log_scale, rescales = recursion_scalar(diag, off, xi, n_max, RESCALE_LIMIT)
+                    want = ChargeState.from_raw(q, xi, f, raw, log_scale=log_scale,
+                                                rescale_count=rescales)
+                    got = build_deformed(f, q, xi, TruncationPolicy(n_max))
+                # == ignores the sign of zero imaginary parts; NaN states stay NaN
+                assert np.array_equal(got.coeffs, want.coeffs, equal_nan=True), (q, n_max, xi)
+                assert got.rescale_count == want.rescale_count
+                assert np.array_equal([got.log_pre_norm, got.pre_norm],
+                                      [want.log_pre_norm, want.pre_norm], equal_nan=True)
+
+    @pytest.mark.parametrize("q", [-2, 0, 3])
+    def test_f_evaluated_once_per_occupation(self, q):
+        f = _Counted(q_deformed(7.0))
+        ladder_elements(f, q, 30)
+        assert f.calls == list(range(30 + abs(q) + 2))
+
+    @pytest.mark.parametrize("q", [-1, 0, 1])
+    def test_overflow_index_is_first_non_finite_element(self, q):
+        f = penson_solomon(0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = _first_non_finite(*ladder_scalar(f, q, 600))
+        assert first is not None
+        for n_max in (600, 1280):  # f itself overflows below 1280
+            with pytest.raises(LadderOverflowError) as err:
+                ladder_elements(f, q, n_max)
+            assert err.value.index == first
+        if q == 0:
+            assert first == 508
+
+    def test_overflow_raised_by_f_counts_as_inf(self):
+        # occupation 7 first enters diag[6] (q = 0 uses f(n+1) there)
+        with pytest.raises(LadderOverflowError) as err:
+            ladder_elements(_Counted(unity(), overflow_from=7), 0, 20)
+        assert err.value.index == 6
+
+    def test_convergence_coarse_state_matches_separate_build(self):
+        f = penson_solomon(0.5)
+        coarse, fine = _recursion_states(f, 3, 5.0 + 0j, (150, 300))
+        alone = build_deformed(f, 3, 5.0, TruncationPolicy(150))
+        assert fine.rescale_count > coarse.rescale_count  # the fine run rescales after 150
+        assert coarse.coeffs.tobytes() == alone.coeffs.tobytes()
+        assert (coarse.log_pre_norm, coarse.pre_norm, coarse.rescale_count) == (
+            alone.log_pre_norm, alone.pre_norm, alone.rescale_count)
+        rep = convergence_report(f, 3, 5.0, 150, 300)
+        assert rep.pre_norm_coarse == alone.pre_norm
+        assert rep.log_pre_norm_ratio == fine.log_pre_norm - alone.log_pre_norm
 
 
 class TestContinuedFraction:
@@ -317,6 +407,11 @@ class TestConvergenceReport:
         rep = convergence_report(penson_solomon(0.5), -1, 5.0, 40, 80)
         assert not rep.norm_divergent
         assert all(rep.converged().values())
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
+    def test_diag_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(PreconditionError):
+            convergence_report(unity(), 1, 5.0, 10, 20, diag_tol=tol)
 
     def test_cutoff_ordering_enforced(self):
         with pytest.raises(PreconditionError):
