@@ -10,6 +10,7 @@ For negative numeric flag values use the attached form, e.g. ``--xi=-2``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -199,13 +200,10 @@ def _pnd_csv(state) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _husimi_csv(grid, count: int) -> str:
-    xs, ys = grid.axes()
-    lines = ["x,y,q"]
-    for ix in range(count):
-        for iy in range(count):
-            lines.append(f"{fmt(xs[ix])},{fmt(ys[iy])},{fmt(grid.values[ix * count + iy])}")
-    return "\n".join(lines) + "\n"
+def _husimi_csv(grid) -> str:
+    xs, ys = (list(map(fmt, axis)) for axis in grid.axes())
+    cells = zip(itertools.product(xs, ys), map(fmt, grid.values.tolist()))
+    return "x,y,q\n" + "".join(f"{x},{y},{q}\n" for (x, y), q in cells)
 
 
 def _verify_document(f, q, xi, n_max, n_max2, diag_tol):
@@ -264,7 +262,7 @@ def _run_husimi(args) -> int:
     state = build_deformed(f, args.q, xi, TruncationPolicy(args.nmax))
     grid = hq.husimi_grid(state, alpha2, (args.xmin, args.xmax, args.grid),
                           (args.ymin, args.ymax, args.grid))
-    _emit(_husimi_csv(grid, args.grid), args.out)
+    _emit(_husimi_csv(grid), args.out)
     return EXIT_OK
 
 
@@ -303,7 +301,7 @@ def _run_figures(args) -> int:
         f = parse_spec(f_label)
         state = build_deformed(f, q, complex(10.0), TruncationPolicy(n_max))
         grid = hq.husimi_grid(state, 1 + 1j, (-6.0, 6.0, args.grid), (-6.0, 6.0, args.grid))
-        (outdir / f"fig6_{_slug(f_label, q)}.csv").write_text(_husimi_csv(grid, args.grid))
+        (outdir / f"fig6_{_slug(f_label, q)}.csv").write_text(_husimi_csv(grid))
     print(f"figure data written to {outdir}", file=sys.stderr)
     return EXIT_OK
 

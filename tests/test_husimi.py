@@ -1,22 +1,31 @@
 """Tests for Husimi point/grid evaluation and the Monte-Carlo norm check."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from chargestate import husimi
 from chargestate.errors import PreconditionError
 from chargestate.husimi import husimi_grid, husimi_norm_check, husimi_point
-from chargestate.nonlinearity import intensity_sqrt, penson_solomon, q_deformed, unity
+from chargestate.nonlinearity import intensity_sqrt, parse_spec, penson_solomon, q_deformed, unity
 from chargestate.states import ChargeState, TruncationPolicy, build_deformed
 
-from _oracles import TwoModeSpace
+from _oracles import LogMagnitudeOverlap, TwoModeSpace, husimi_disk_integral
 
 CATALOG = [unity(), penson_solomon(0.5), intensity_sqrt(), q_deformed(7.0)]
 
 
 def vacuum_state():
     return ChargeState.from_raw(0, 0.0, unity(), np.array([1.0 + 0j]))
+
+
+def assert_amplitude_close(value, want, bound):
+    """The benchmark gate's amplitude rule: sqrt(Q) within 1e-7 of the
+    reference's relative and 1e-10 of its summed term magnitudes."""
+    err = abs(math.sqrt(value) - math.sqrt(want))
+    assert err <= 1e-7 * math.sqrt(want) + 1e-10 * math.sqrt(bound), (value, want, bound)
 
 
 class TestHusimiPoint:
@@ -54,15 +63,51 @@ class TestHusimiPoint:
             assert husimi_point(state, a1, a2) == pytest.approx(dense, rel=1e-10)
 
 
+class TestOverlapKernel:
+    """The kernel against the term-by-term log-magnitude evaluator."""
+
+    @pytest.mark.parametrize("q", range(-4, 5))
+    @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.label())
+    def test_grid_matches_log_magnitude_oracle(self, f, q):
+        for n_max in (0, 1, 8, 80, 200):
+            state = build_deformed(f, q, 5.0, TruncationPolicy(n_max))
+            grid = husimi_grid(state, 1 + 1j, (-6.0, 6.0, 13), (-6.0, 6.0, 13))
+            xs, ys = grid.axes()
+            reference = LogMagnitudeOverlap(state)
+            for i, value in enumerate(grid.values):
+                want = reference.evaluate(complex(xs[i // 13], ys[i % 13]), 1 + 1j)
+                assert_amplitude_close(value, *want)
+
+    @pytest.mark.parametrize("alpha1", [3.0, 3 + 4j, 6 + 6j])
+    def test_subnormal_values(self, alpha1):
+        # Q near 5e-324: formed as one exp of the log scale, not from
+        # terms that each underflow
+        state = build_deformed(parse_spec("qdef:7"), 2, 5 + 0.5j, TruncationPolicy(200))
+        alpha2 = -1.112 + 0.286j
+        assert_amplitude_close(husimi_point(state, alpha1, alpha2),
+                               *LogMagnitudeOverlap(state).evaluate(alpha1, alpha2))
+
+    def test_long_ladder_far_from_origin(self):
+        # terms up to exp(2025): a product started at n = 0 loses them
+        state = build_deformed(unity(), 1, 6400.0, TruncationPolicy(2000))
+        alpha1 = 45 * cmath.exp(0.79j)
+        value = husimi_point(state, alpha1, 45.0)
+        assert value > 1e-7
+        assert_amplitude_close(value, *LogMagnitudeOverlap(state).evaluate(alpha1, 45.0))
+
+
 class TestHusimiGrid:
     def test_pointwise_contract(self):
-        state = build_deformed(unity(), 1, 5.0, TruncationPolicy(20))
-        grid = husimi_grid(state, 1 + 1j, (-2.0, 2.0, 3), (-1.0, 1.0, 3))
-        xs, ys = grid.axes()
-        for ix in range(3):
-            for iy in range(3):
-                want = husimi_point(state, complex(xs[ix], ys[iy]), 1 + 1j)
-                assert grid.values[ix * 3 + iy] == want
+        # the 61^2 grid at n_max 320 spans more than one kernel block
+        for n_max, x_range, y_range in ((20, (-2.0, 2.0, 3), (-1.0, 1.0, 3)),
+                                        (320, (-6.0, 6.0, 61), (-6.0, 6.0, 61))):
+            state = build_deformed(unity(), 1, 5.0, TruncationPolicy(n_max))
+            grid = husimi_grid(state, 1 + 1j, x_range, y_range)
+            xs, ys = grid.axes()
+            for ix in range(len(xs)):
+                for iy in range(len(ys)):
+                    want = husimi_point(state, complex(xs[ix], ys[iy]), 1 + 1j)
+                    assert grid.values[ix * len(ys) + iy] == want
 
     def test_ring_with_central_hole(self):
         state = build_deformed(unity(), 1, 10.0, TruncationPolicy(80))
@@ -115,3 +160,34 @@ class TestNormCheck:
     def test_sample_floor_enforced(self):
         with pytest.raises(PreconditionError):
             husimi_norm_check(vacuum_state(), samples=100, radius=5.0)
+
+    @pytest.mark.parametrize("state,radius", [
+        (vacuum_state(), 4.0),
+        (build_deformed(penson_solomon(0.5), -1, 10.0, TruncationPolicy(60)), 5.0),
+        (build_deformed(unity(), 2, 5.0, TruncationPolicy(40)), 5.0),
+        (build_deformed(q_deformed(7.0), 1, 5.0, TruncationPolicy(30)), 6.0),
+    ], ids=["vacuum", "ps", "unity", "qdef"])
+    def test_within_standard_errors_of_exact_disk_integral(self, state, radius):
+        samples = 200_000
+        est = husimi_norm_check(state, samples=samples, radius=radius, seed=12345)
+        # the standard error from the spread of volume * Q over an
+        # independent uniform draw on the two disks
+        rng = np.random.default_rng(2024)
+        u = rng.random((4, samples))
+        a1 = radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
+        a2 = radius * np.sqrt(u[2]) * np.exp(2j * np.pi * u[3])
+        spread = (math.pi * radius**2) ** 2 * husimi._q_values(state, a1, a2).std()
+        assert abs(est - husimi_disk_integral(state, radius)) <= 4 * spread / math.sqrt(samples)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("call", [
+        lambda s: husimi_point(s, math.nan, 1j),
+        lambda s: husimi_grid(s, math.nan, (-1.0, 1.0, 3), (-1.0, 1.0, 3)),
+        lambda s: husimi_grid(s, 1j, (-1.0, math.inf, 3), (-1.0, 1.0, 3)),
+        lambda s: husimi_norm_check(s, 10_000, math.nan),
+    ], ids=["point-alpha1", "grid-alpha2", "grid-range", "norm-radius"])
+    def test_rejected(self, call):
+        state = build_deformed(unity(), 1, 5.0, TruncationPolicy(10))
+        with pytest.raises(PreconditionError):
+            call(state)
