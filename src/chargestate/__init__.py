@@ -24,7 +24,6 @@ from .errors import (
     SpecParseError,
     ZeroDenominatorError,
 )
-from .fockmath import HermiteValue, LogMagnitude, bracket_factorial_log, hermite_two_var, log_factorial
 from .husimi import HusimiGrid, husimi_grid, husimi_norm_check, husimi_point
 from .nonlinearity import (
     NonlinearityFunction,
@@ -47,6 +46,7 @@ from .states import (
     convergence_report,
     eigen_residual,
     ladder_elements,
+    log_factorial,
     state_from_document,
     state_to_document,
 )

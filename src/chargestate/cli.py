@@ -19,16 +19,7 @@ from pathlib import Path
 
 from . import diagnostics as dg
 from . import husimi as hq
-from .errors import (
-    ChargeStateError,
-    ContinuedFractionPoleError,
-    DegenerateStateError,
-    LadderOverflowError,
-    ParameterRangeError,
-    PreconditionError,
-    SpecParseError,
-    ZeroDenominatorError,
-)
+from .errors import ChargeStateError, PreconditionError, SpecParseError
 from .nonlinearity import parse_spec
 from .states import (
     TruncationPolicy,
@@ -180,17 +171,17 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _sweep_rows(spec: SweepSpec):
+def _sweep_csv(spec: SweepSpec) -> str:
     f = parse_spec(spec.f_spec)
-    rows = []
+    lines = ["xi,value,defined"]
     for xi in spec.xi_values():
         state = build_deformed(f, spec.q, xi, TruncationPolicy(spec.n_max))
         value = dg.DIAGNOSTICS[spec.diagnostic](dg.moments(state))
         if value is None:
-            rows.append(f"{fmt(xi)},,0")
+            lines.append(f"{fmt(xi)},,0")
         else:
-            rows.append(f"{fmt(xi)},{fmt(value)},1")
-    return rows
+            lines.append(f"{fmt(xi)},{fmt(value)},1")
+    return "\n".join(lines) + "\n"
 
 
 def _pnd_csv(state) -> str:
@@ -206,11 +197,11 @@ def _husimi_csv(grid) -> str:
     return "x,y,q\n" + "".join(f"{x},{y},{q}\n" for (x, y), q in cells)
 
 
-def _verify_document(f, q, xi, n_max, n_max2, diag_tol):
+def _verify_json(f, q, xi, n_max, n_max2, diag_tol) -> str:
     state = build_deformed(f, q, xi, TruncationPolicy(n_max))
     rows = eigen_residual(f, state)
     report = convergence_report(f, q, xi, n_max, n_max2, diag_tol)
-    return {
+    doc = {
         "f": f.label(),
         "q": q,
         "xi": [xi.real, xi.imag],
@@ -226,6 +217,7 @@ def _verify_document(f, q, xi, n_max, n_max2, diag_tol):
         "diag_tol": diag_tol,
         "rescale_count": state.rescale_count,
     }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _run_build(args) -> int:
@@ -238,8 +230,7 @@ def _run_build(args) -> int:
 
 def _run_sweep(args) -> int:
     spec = SweepSpec(args.diagnostic, args.xi_start, args.xi_end, args.steps, args.f, args.q, args.nmax)
-    rows = _sweep_rows(spec)
-    _emit("xi,value,defined\n" + "\n".join(rows) + "\n", args.out)
+    _emit(_sweep_csv(spec), args.out)
     return EXIT_OK
 
 
@@ -252,10 +243,6 @@ def _run_pnd(args) -> int:
 
 
 def _run_husimi(args) -> int:
-    if args.grid < 2:
-        raise SpecParseError(str(args.grid), "--grid must be >= 2")
-    if not all(map(math.isfinite, (args.xmin, args.xmax, args.ymin, args.ymax))):
-        raise PreconditionError("--xmin, --xmax, --ymin and --ymax must be finite")
     f = parse_spec(args.f)
     xi = _parse_complex_pair(args.xi, "--xi")
     alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")
@@ -270,8 +257,7 @@ def _run_verify(args) -> int:
     f = parse_spec(args.f)
     xi = _parse_complex_pair(args.xi, "--xi")
     n_max2 = args.nmax2 if args.nmax2 is not None else 2 * args.nmax
-    doc = _verify_document(f, args.q, xi, args.nmax, n_max2, args.diag_tol)
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_verify_json(f, args.q, xi, args.nmax, n_max2, args.diag_tol), args.out)
     return EXIT_OK
 
 
@@ -285,18 +271,16 @@ def _run_figures(args) -> int:
     n_max = args.nmax
     for fig, (diagnostic, curves) in FIGURE_SWEEPS.items():
         for f_label, q in curves:
-            rows = _sweep_rows(SweepSpec(diagnostic, 1.0, 10.0, args.steps, f_label, q, n_max))
             (outdir / f"{fig}_{_slug(f_label, q)}.csv").write_text(
-                "xi,value,defined\n" + "\n".join(rows) + "\n")
-            doc = _verify_document(parse_spec(f_label), q, complex(5.0), n_max, 2 * n_max, 1e-3)
+                _sweep_csv(SweepSpec(diagnostic, 1.0, 10.0, args.steps, f_label, q, n_max)))
             (outdir / f"{fig}_{_slug(f_label, q)}_verify.json").write_text(
-                json.dumps(doc, indent=2) + "\n")
+                _verify_json(parse_spec(f_label), q, complex(5.0), n_max, 2 * n_max, 1e-3))
     for f_label, q, xi in FIGURE_PND:
         f = parse_spec(f_label)
         state = build_deformed(f, q, xi, TruncationPolicy(n_max))
         (outdir / f"fig5_{_slug(f_label, q)}.csv").write_text(_pnd_csv(state))
-        doc = _verify_document(f, q, complex(xi), n_max, 2 * n_max, 1e-3)
-        (outdir / f"fig5_{_slug(f_label, q)}_verify.json").write_text(json.dumps(doc, indent=2) + "\n")
+        (outdir / f"fig5_{_slug(f_label, q)}_verify.json").write_text(
+            _verify_json(f, q, complex(xi), n_max, 2 * n_max, 1e-3))
     for f_label, q in FIGURE_HUSIMI:
         f = parse_spec(f_label)
         state = build_deformed(f, q, complex(10.0), TruncationPolicy(n_max))
@@ -324,18 +308,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _RUNNERS[args.command](args)
-    except (SpecParseError, ParameterRangeError, PreconditionError) as exc:
-        print(f"chargestate: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ZeroDenominatorError,
-        ContinuedFractionPoleError,
-        DegenerateStateError,
-        LadderOverflowError,
-    ) as exc:
-        print(f"chargestate: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ChargeStateError as exc:
+        if isinstance(exc, ArithmeticError):
+            print(f"chargestate: numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
         print(f"chargestate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

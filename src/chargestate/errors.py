@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Subclasses of ArithmeticError are numeric construction failures, which the
+CLI reports with exit code 2; every other ChargeStateError is a usage error,
+exit code 1.
+"""
 
 
 class ChargeStateError(Exception):

@@ -141,6 +141,8 @@ def husimi_grid(
     y0, y1, ny = y_range
     if nx < 2 or ny < 2:
         raise PreconditionError("grid counts must be >= 2")
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise PreconditionError("grid range bounds must be finite")
     alpha1 = np.add.outer(np.linspace(x0, x1, nx), 1j * np.linspace(y0, y1, ny)).ravel()
     alpha2 = complex(alpha2)
     values = _q_values(state, alpha1, np.full(nx * ny, alpha2))

@@ -65,10 +65,6 @@ class NonlinearityFunction:
         ell = math.log(self.params["qq"])
         return math.sqrt(math.sinh(n * ell) / (n * math.sinh(ell)))
 
-    def squared(self, n: int) -> float:
-        v = self(n)
-        return v * v
-
     def label(self) -> str:
         """Spec string that parses back to this catalog entry."""
         if self.kind == UNITY:

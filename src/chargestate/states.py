@@ -26,7 +26,6 @@ from .errors import (
     PreconditionError,
     ZeroDenominatorError,
 )
-from .fockmath import log_factorial
 
 PLUS = "plus"
 MINUS = "minus"
@@ -259,6 +258,13 @@ def continued_fraction_ratio(
 # Exact closed-form builder for the undeformed (f = 1) states.
 # ---------------------------------------------------------------------------
 
+def log_factorial(n: int) -> float:
+    """ln(n!) via lgamma, exact to the precision of the libm implementation."""
+    if n < 0:
+        raise PreconditionError("log_factorial requires n >= 0")
+    return math.lgamma(n + 1)
+
+
 def _inner_sum_coefficients(n: int, a: int) -> list[int]:
     """Integer weights A_k = C(n, k) * (n+a)(n+a-1)...(n+a-k+1), k = 0..n."""
     weights = [1]
@@ -371,10 +377,10 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
     the branch of q; the global exp(-lam/2) of the unnormalized reference is
     dropped (absorbed by normalization).  At real arguments sqrt(lam) the
     Hermite values are lam^(|q|/2) times integer-coefficient polynomials in
-    lam, which are summed exactly in integer arithmetic; the defining
+    lam, which are summed exactly in integer arithmetic: the defining
     alternating sum cancels catastrophically in double precision in exactly
-    the regimes these states occupy (see the general-purpose float evaluator
-    hermite_two_var, whose guard flags that loss).
+    the regimes these states occupy, where its terms grow far larger than
+    the Hermite value they sum to.
     """
     if lam < 0:
         raise PreconditionError("lam must be >= 0")

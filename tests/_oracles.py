@@ -113,11 +113,6 @@ def hermite_exact(m, n, z):
     return total_r, total_i
 
 
-def hermite_exact_complex(m, n, z):
-    r, i = hermite_exact(m, n, complex(z))
-    return complex(float(r), float(i))
-
-
 # ---------------------------------------------------------------------------
 # Dense two-mode operator oracle.
 # ---------------------------------------------------------------------------
@@ -208,17 +203,21 @@ def ladder_scalar(f, q, n_max):
 
     An OverflowError from f propagates; the kernel maps it to inf.
     """
+    def squared(k):
+        v = f(k)
+        return v * v
+
     a = abs(q)
     diag = np.empty(n_max + 1)
     off = np.zeros(n_max + 2)
     if q >= 0:
         for n in range(n_max + 1):
-            diag[n] = (n + q + 1) * f.squared(n + q + 1) + n * f.squared(n)
+            diag[n] = (n + q + 1) * squared(n + q + 1) + n * squared(n)
         for n in range(1, n_max + 2):
             off[n] = math.sqrt((n + q) * n) * f(n + q) * f(n)
     else:
         for n in range(n_max + 1):
-            diag[n] = (n + 1) * f.squared(n + 1) + (n + a) * f.squared(n + a)
+            diag[n] = (n + 1) * squared(n + 1) + (n + a) * squared(n + a)
         for n in range(1, n_max + 2):
             off[n] = math.sqrt(n * (n + a)) * f(n) * f(n + a)
     return diag, off
@@ -253,7 +252,7 @@ def recursion_scalar(diag, off, xi, n_max, rescale_limit):
 # Husimi references: term-by-term log-magnitude overlap, exact disk integral.
 # ---------------------------------------------------------------------------
 
-class LogMagnitudeOverlap:
+class TermwiseLogOverlap:
     """Husimi Q at single nodes, each overlap term carried as a log magnitude
     and a phase with the Gaussian folded in, and summed with fsum.
 

@@ -5,14 +5,53 @@ import math
 
 import pytest
 
+from chargestate import cli
 from chargestate.cli import SweepSpec, main
-from chargestate.errors import PreconditionError, SpecParseError
+from chargestate.errors import (
+    ChargeStateError,
+    ContinuedFractionPoleError,
+    DegenerateStateError,
+    LadderOverflowError,
+    ParameterRangeError,
+    PreconditionError,
+    SpecParseError,
+    ZeroDenominatorError,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ERRORS_AND_CODES = [
+    (ChargeStateError("base"), 1),
+    (SpecParseError("tok"), 1),
+    (ParameterRangeError("range"), 1),
+    (PreconditionError("precondition"), 1),
+    (ZeroDenominatorError(3), 2),
+    (ContinuedFractionPoleError(4), 2),
+    (DegenerateStateError("degenerate"), 2),
+    (LadderOverflowError(5), 2),
+]
+
+
+class TestExitCodes:
+    def test_every_error_class_is_covered(self):
+        assert {type(exc) for exc, _ in ERRORS_AND_CODES} == {
+            ChargeStateError, *ChargeStateError.__subclasses__()}
+
+    @pytest.mark.parametrize("exc,code", ERRORS_AND_CODES,
+                             ids=[type(exc).__name__ for exc, _ in ERRORS_AND_CODES])
+    def test_documented_code(self, capsys, monkeypatch, exc, code):
+        def raise_it(args):
+            raise exc
+        monkeypatch.setitem(cli._RUNNERS, "build", raise_it)
+        got, out, err = run(capsys, "build", "--f", "unity", "--q", "1", "--xi", "5", "--nmax", "3")
+        prefix = "numeric failure" if code == 2 else "error"
+        assert got == code and out == ""
+        assert err == f"chargestate: {prefix}: {exc}\n"
 
 
 class TestBuild:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chargestate import diagnostics as dg
-from chargestate.cli import SWEEP_DIAGNOSTICS, SweepSpec, _sweep_rows
+from chargestate.cli import SWEEP_DIAGNOSTICS, SweepSpec, _sweep_csv
 from chargestate.diagnostics import (
     DIAGNOSTICS,
     DiagnosticsReport,
@@ -178,7 +178,7 @@ class TestRegistry:
         monkeypatch.setattr(dg, "moments", lambda state: seen.append(state) or real(state))
         full_report(build_deformed(unity(), 1, 5.0, TruncationPolicy(20)))
         convergence_report(unity(), 1, 5.0, 10, 20)
-        _sweep_rows(SweepSpec("g2_a", 1.0, 2.0, 3, "unity", 1, 10))
+        _sweep_csv(SweepSpec("g2_a", 1.0, 2.0, 3, "unity", 1, 10))
         assert len(seen) == 1 + 2 + 3
         assert len({id(state) for state in seen}) == len(seen)
 

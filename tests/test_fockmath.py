@@ -1,41 +1,11 @@
-"""Tests for the log-scale special-function primitives."""
+"""Tests for log_factorial, the log-scale factorial that states.py uses."""
 
 import math
 
-import numpy as np
 import pytest
 
 from chargestate.errors import PreconditionError
-from chargestate.fockmath import (
-    LogMagnitude,
-    bracket_factorial_log,
-    hermite_two_var,
-    log_factorial,
-)
-
-from _oracles import hermite_exact_complex
-
-
-class TestLogMagnitude:
-    def test_zero_sign_iff_neg_inf(self):
-        assert LogMagnitude.zero().sign == 0
-        with pytest.raises(ValueError):
-            LogMagnitude(0, 1.0)
-        with pytest.raises(ValueError):
-            LogMagnitude(1, -math.inf)
-
-    def test_round_trip(self):
-        for x in (3.5, -120.0, 1e-200, -2e180, 0.0):
-            assert LogMagnitude.from_value(x).value() == pytest.approx(x, rel=1e-13)
-
-    def test_product_and_ratio_compose(self):
-        u = LogMagnitude.from_value(-12.0)
-        v = LogMagnitude.from_value(0.25)
-        assert (u * v).value() == pytest.approx(-3.0, rel=1e-14)
-        assert (u / v).value() == pytest.approx(-48.0, rel=1e-14)
-        assert (u * LogMagnitude.zero()).sign == 0
-        with pytest.raises(ZeroDivisionError):
-            u / LogMagnitude.zero()
+from chargestate.states import log_factorial
 
 
 class TestLogFactorial:
@@ -56,70 +26,3 @@ class TestLogFactorial:
     def test_negative_rejected(self):
         with pytest.raises(PreconditionError):
             log_factorial(-1)
-
-
-class TestBracketFactorial:
-    def test_examples(self):
-        assert bracket_factorial_log(0, 3) == 0.0
-        assert bracket_factorial_log(2, 1) == pytest.approx(math.log(6.0), rel=1e-14)
-        assert bracket_factorial_log(3, 2) == pytest.approx(math.log(60.0), rel=1e-14)
-
-    def test_shifted_product_identity(self):
-        # independent route: fsum of the logs of the literal product terms
-        for q in range(-10, 11):
-            a = abs(q)
-            for n in range(0, 51, 7):
-                direct = math.fsum(math.log(i + a) for i in range(1, n + 1))
-                assert abs(bracket_factorial_log(n, q) - direct) < 1e-12
-
-
-class TestHermiteTwoVar:
-    def test_order_zero(self):
-        for z in (0.3 + 1j, -2.0, 0.0):
-            assert hermite_two_var(0, 0, z).value == 1.0
-
-    def test_one_one(self):
-        for z in (0.7 - 0.2j, 2.0 + 1.5j):
-            hv = hermite_two_var(1, 1, z)
-            assert hv.value == pytest.approx(abs(z) ** 2 - 1, rel=1e-14)
-
-    def test_two_one_sqrt5(self):
-        # frozen from the exact brute-force oracle: H_{2,1}(sqrt5) = 3 sqrt5
-        z = math.sqrt(5.0)
-        exact = hermite_exact_complex(2, 1, complex(z))
-        assert exact == pytest.approx(3 * math.sqrt(5.0), rel=1e-15)
-        assert hermite_two_var(2, 1, z).value == pytest.approx(exact, rel=1e-13)
-
-    @pytest.mark.parametrize("m,n", [(3, 2), (7, 7), (15, 4), (12, 15)])
-    @pytest.mark.parametrize("z", [0.8 + 0.6j, -1.3 + 2.1j, 2.4])
-    def test_conjugation_symmetry(self, m, n, z):
-        hv = hermite_two_var(m, n, z)
-        hw = hermite_two_var(n, m, z)
-        assert hv.value == pytest.approx(np.conj(hw.value), rel=1e-9)
-
-    @pytest.mark.parametrize("m,n", [(0, 0), (1, 1), (2, 5), (4, 4), (9, 3)])
-    def test_at_origin(self, m, n):
-        hv = hermite_two_var(m, n, 0.0)
-        if m != n:
-            assert hv.value == 0.0
-        else:
-            assert hv.value == pytest.approx((-1) ** n * math.factorial(n), rel=1e-15)
-
-    @pytest.mark.parametrize("m,n,z", [
-        (6, 4, 1.2 + 0.4j), (10, 10, 0.5 - 1.5j), (14, 9, 2.2 + 0.1j), (5, 5, 3.0),
-    ])
-    def test_against_exact_oracle(self, m, n, z):
-        exact = hermite_exact_complex(m, n, complex(z))
-        got = hermite_two_var(m, n, complex(z)).value
-        assert got == pytest.approx(exact, rel=1e-11)
-
-    def test_cancellation_guard(self):
-        # deep in the oscillatory regime the alternating sum loses > 10 digits
-        deep = hermite_two_var(50, 49, math.sqrt(5.0))
-        assert deep.cancellation_limited
-        shallow = hermite_two_var(8, 7, math.sqrt(5.0))
-        assert not shallow.cancellation_limited
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(PreconditionError):
-            hermite_two_var(-1, 0, 1.0)

@@ -12,7 +12,7 @@ from chargestate.husimi import husimi_grid, husimi_norm_check, husimi_point
 from chargestate.nonlinearity import intensity_sqrt, parse_spec, penson_solomon, q_deformed, unity
 from chargestate.states import ChargeState, TruncationPolicy, build_deformed
 
-from _oracles import LogMagnitudeOverlap, TwoModeSpace, husimi_disk_integral
+from _oracles import TermwiseLogOverlap, TwoModeSpace, husimi_disk_integral
 
 CATALOG = [unity(), penson_solomon(0.5), intensity_sqrt(), q_deformed(7.0)]
 
@@ -73,7 +73,7 @@ class TestOverlapKernel:
             state = build_deformed(f, q, 5.0, TruncationPolicy(n_max))
             grid = husimi_grid(state, 1 + 1j, (-6.0, 6.0, 13), (-6.0, 6.0, 13))
             xs, ys = grid.axes()
-            reference = LogMagnitudeOverlap(state)
+            reference = TermwiseLogOverlap(state)
             for i, value in enumerate(grid.values):
                 want = reference.evaluate(complex(xs[i // 13], ys[i % 13]), 1 + 1j)
                 assert_amplitude_close(value, *want)
@@ -85,7 +85,7 @@ class TestOverlapKernel:
         state = build_deformed(parse_spec("qdef:7"), 2, 5 + 0.5j, TruncationPolicy(200))
         alpha2 = -1.112 + 0.286j
         assert_amplitude_close(husimi_point(state, alpha1, alpha2),
-                               *LogMagnitudeOverlap(state).evaluate(alpha1, alpha2))
+                               *TermwiseLogOverlap(state).evaluate(alpha1, alpha2))
 
     def test_long_ladder_far_from_origin(self):
         # terms up to exp(2025): a product started at n = 0 loses them
@@ -93,7 +93,7 @@ class TestOverlapKernel:
         alpha1 = 45 * cmath.exp(0.79j)
         value = husimi_point(state, alpha1, 45.0)
         assert value > 1e-7
-        assert_amplitude_close(value, *LogMagnitudeOverlap(state).evaluate(alpha1, 45.0))
+        assert_amplitude_close(value, *TermwiseLogOverlap(state).evaluate(alpha1, 45.0))
 
 
 class TestHusimiGrid:

@@ -27,12 +27,19 @@ from chargestate.states import (
     continued_fraction_ratio,
     convergence_report,
     eigen_residual,
+    hermite_reference_terms,
     ladder_elements,
     state_from_document,
     state_to_document,
 )
 
-from _oracles import ladder_scalar, laguerre_series, recursion_scalar, unity_pre_norm_exact
+from _oracles import (
+    hermite_exact,
+    ladder_scalar,
+    laguerre_series,
+    recursion_scalar,
+    unity_pre_norm_exact,
+)
 
 CATALOG = [unity(), penson_solomon(0.5), intensity_sqrt(), q_deformed(7.0)]
 
@@ -45,9 +52,6 @@ class _ZeroAtTwo:
 
     def __call__(self, n):
         return 0.0 if n == 2 else 1.0
-
-    def squared(self, n):
-        return self(n) ** 2
 
 
 class TestTruncationPolicy:
@@ -316,6 +320,21 @@ class TestHermiteReference:
         c = build_linear_closed(q, lam, TruncationPolicy(60))
         cos = abs(np.vdot(h.coeffs, c.coeffs))
         assert cos >= 1 - 1e-9
+
+    @pytest.mark.parametrize("q", [-2, 0, 1, 3])
+    @pytest.mark.parametrize("z", [0.5, 2.5])
+    def test_terms_match_exact_hermite(self, q, z):
+        # z * z is exact in binary, so lam = z^2 and the oracle's z agree;
+        # a difference of logs is the relative error of the magnitude
+        signs, logs = hermite_reference_terms(q, z * z, 24)
+        a = abs(q)
+        for n in range(25):
+            occ = (n + a, n) if q >= 0 else (n, n + a)
+            re, im = hermite_exact(*occ, complex(z))
+            assert im == 0 and signs[n] == (re > 0) - (re < 0)
+            want = (math.log(abs(re.numerator)) - math.log(re.denominator)
+                    - 0.5 * sum(math.log(math.factorial(k)) for k in occ))
+            assert abs(logs[n] - want) <= 1e-13
 
     @pytest.mark.parametrize("lam", [5.0, 10.0])
     def test_sqrt_lambda_map_is_rejected(self, lam):
