@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--nmax", required=True, type=int)
     p.add_argument("--nmax2", type=int, help="second cutoff (default 2*nmax)")
-    p.add_argument("--diag-tol", type=float, default=1e-3)
     p.add_argument("--out", help="write to file instead of stdout")
 
     p = sub.add_parser("figures", help="emit the full figure-reproduction data set")
@@ -197,10 +196,10 @@ def _husimi_csv(grid) -> str:
     return "x,y,q\n" + "".join(f"{x},{y},{q}\n" for (x, y), q in cells)
 
 
-def _verify_json(f, q, xi, n_max, n_max2, diag_tol) -> str:
+def _verify_json(f, q, xi, n_max, n_max2) -> str:
     state = build_deformed(f, q, xi, TruncationPolicy(n_max))
     rows = eigen_residual(f, state)
-    report = convergence_report(f, q, xi, n_max, n_max2, diag_tol)
+    report = convergence_report(f, q, xi, n_max, n_max2)
     doc = {
         "f": f.label(),
         "q": q,
@@ -209,22 +208,22 @@ def _verify_json(f, q, xi, n_max, n_max2, diag_tol) -> str:
         "n_max2": n_max2,
         "max_interior_residual": float(rows[:-1].max()),
         "boundary_residual": float(rows[-1]),
-        "pre_norm": state.pre_norm,
-        "pre_norm2": report.pre_norm_fine,
+        "pre_norm": state.pre_norm if state.pre_norm < math.inf else None,
+        "pre_norm2": report.pre_norm_fine if report.pre_norm_fine < math.inf else None,
         "log_pre_norm_ratio": report.log_pre_norm_ratio,
         "norm_divergent": report.norm_divergent,
         "converged": report.converged(),
-        "diag_tol": diag_tol,
+        "diag_tol": report.diag_tol,
         "rescale_count": state.rescale_count,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _run_build(args) -> int:
     f = parse_spec(args.f)
     xi = _parse_complex_pair(args.xi, "--xi")
     state = build_deformed(f, args.q, xi, TruncationPolicy(args.nmax))
-    _emit(json.dumps(state_to_document(state)) + "\n", args.out)
+    _emit(json.dumps(state_to_document(state), allow_nan=False) + "\n", args.out)
     return EXIT_OK
 
 
@@ -257,7 +256,7 @@ def _run_verify(args) -> int:
     f = parse_spec(args.f)
     xi = _parse_complex_pair(args.xi, "--xi")
     n_max2 = args.nmax2 if args.nmax2 is not None else 2 * args.nmax
-    _emit(_verify_json(f, args.q, xi, args.nmax, n_max2, args.diag_tol), args.out)
+    _emit(_verify_json(f, args.q, xi, args.nmax, n_max2), args.out)
     return EXIT_OK
 
 
@@ -274,13 +273,13 @@ def _run_figures(args) -> int:
             (outdir / f"{fig}_{_slug(f_label, q)}.csv").write_text(
                 _sweep_csv(SweepSpec(diagnostic, 1.0, 10.0, args.steps, f_label, q, n_max)))
             (outdir / f"{fig}_{_slug(f_label, q)}_verify.json").write_text(
-                _verify_json(parse_spec(f_label), q, complex(5.0), n_max, 2 * n_max, 1e-3))
+                _verify_json(parse_spec(f_label), q, complex(5.0), n_max, 2 * n_max))
     for f_label, q, xi in FIGURE_PND:
         f = parse_spec(f_label)
         state = build_deformed(f, q, xi, TruncationPolicy(n_max))
         (outdir / f"fig5_{_slug(f_label, q)}.csv").write_text(_pnd_csv(state))
         (outdir / f"fig5_{_slug(f_label, q)}_verify.json").write_text(
-            _verify_json(f, q, complex(xi), n_max, 2 * n_max, 1e-3))
+            _verify_json(f, q, complex(xi), n_max, 2 * n_max))
     for f_label, q in FIGURE_HUSIMI:
         f = parse_spec(f_label)
         state = build_deformed(f, q, complex(10.0), TruncationPolicy(n_max))

@@ -47,8 +47,9 @@ class DegenerateStateError(ChargeStateError, ArithmeticError):
 
 
 class LadderOverflowError(ChargeStateError, ArithmeticError):
-    """A tridiagonal matrix element overflowed double precision."""
+    """A tridiagonal matrix element or a recursion coefficient overflowed double precision."""
 
     def __init__(self, index):
         self.index = index
-        super().__init__(f"ladder matrix element overflowed at index {index}; reduce n_max")
+        super().__init__(f"ladder matrix element or recursion coefficient overflowed "
+                         f"at index {index}; reduce n_max")

@@ -20,8 +20,6 @@ PENSON_SOLOMON = "penson_solomon"
 INTENSITY_SQRT = "intensity_sqrt"
 Q_DEFORMED = "q_deformed"
 
-_KINDS = (UNITY, PENSON_SOLOMON, INTENSITY_SQRT, Q_DEFORMED)
-
 
 @dataclass(frozen=True)
 class NonlinearityFunction:
@@ -36,34 +34,44 @@ class NonlinearityFunction:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterRangeError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == PENSON_SOLOMON:
+        if self.kind == UNITY:
+            formula = lambda n: 1.0
+        elif self.kind == PENSON_SOLOMON:
             p = self.params.get("p")
             if p is None or not (0.0 < p <= 1.0):
                 raise ParameterRangeError(f"penson_solomon requires p in (0, 1], got {p}")
+            formula = lambda n: p ** (1 - n)
+        elif self.kind == INTENSITY_SQRT:
+            formula = math.sqrt
         elif self.kind == Q_DEFORMED:
             qq = self.params.get("qq")
             if qq is None or not math.isfinite(qq) or qq <= 0.0 or qq == 1.0:
                 raise ParameterRangeError(f"q_deformed requires finite qq > 0, qq != 1, got {qq}")
+            # sqrt((q^n - q^-n) / (n (q - 1/q))), written through sinh so the
+            # q -> 1 limit is approached smoothly; f(0) is the limit value 1
+            ell = math.log(qq)
+            sinh_ell = math.sinh(ell)
+            formula = lambda n: math.sqrt(math.sinh(n * ell) / (n * sinh_ell)) if n else 1.0
+        else:
+            raise ParameterRangeError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "_formula", formula)
 
     def __call__(self, n: int) -> float:
         """Evaluate f(n) for integer n >= 0."""
         if n < 0:
             raise PreconditionError(f"nonlinearity evaluated at negative occupation {n}")
-        if self.kind == UNITY:
-            return 1.0
-        if self.kind == PENSON_SOLOMON:
-            return self.params["p"] ** (1 - n)
-        if self.kind == INTENSITY_SQRT:
-            return math.sqrt(n)
-        # q-deformed: sqrt((q^n - q^-n) / (n (q - 1/q))), written through sinh
-        # so the q -> 1 limit is approached smoothly; f(0) is the limit value 1.
-        if n == 0:
-            return 1.0
-        ell = math.log(self.params["qq"])
-        return math.sqrt(math.sinh(n * ell) / (n * math.sinh(ell)))
+        return self._formula(n)
+
+    def values(self, count: int) -> list[float]:
+        """f(0), ..., f(count - 1), inf from the first n whose formula overflows."""
+        out = []
+        try:
+            for n in range(count):
+                out.append(self._formula(n))
+        except OverflowError:
+            out += [math.inf] * (count - len(out))
+        return out
 
     def label(self) -> str:
         """Spec string that parses back to this catalog entry."""

@@ -117,12 +117,16 @@ class ChargeState:
     def occupations(self) -> tuple[np.ndarray, np.ndarray]:
         """Mode occupations (n_a, n_b) for each ladder index."""
         n = np.arange(self.n_max + 1)
-        if self.branch == PLUS:
-            return n + self.q, n
-        return n, n - self.q
+        lo, hi = _occupation_offsets(self.q)
+        return n + lo, n + hi
 
     def norm_error(self) -> float:
         return abs(float(np.sum(np.abs(self.coeffs) ** 2)) - 1.0)
+
+
+def _occupation_offsets(q: int) -> tuple[int, int]:
+    """(lo, hi) with ladder index n at occupations (n_a, n_b) = (n + lo, n + hi)."""
+    return (q, 0) if q >= 0 else (0, -q)
 
 
 def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
@@ -131,36 +135,23 @@ def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
     Returns (diag, offdiag) with diag[n] the diagonal entry at ladder index n
     and offdiag[n] the symmetric coupling between indices n-1 and n
     (offdiag[0] = 0; offdiag has length n_max + 2 so the boundary coupling out
-    of the truncation window is available).  f is evaluated once per
-    occupation 0 .. n_max+|q|+1; an OverflowError raised while evaluating it
-    makes that value and every later one inf.  If any element is not finite,
+    of the truncation window is available).  With (n_a, n_b) the occupations
+    of index n, diag[n] = (n_a+1) f(n_a+1)^2 + n_b f(n_b)^2 and
+    offdiag[n+1] = sqrt((n_a+1)(n_b+1)) f(n_a+1) f(n_b+1), in that operation
+    order, from ``f.values``.  If any element is not finite,
     LadderOverflowError names the lowest ladder index n at which diag[n] or
     offdiag[n] is not, which is the same for every cutoff that reaches it.
     """
-    a = abs(q)
-    size = n_max + a + 2
-    values = []
-    try:
-        for k in range(size):
-            values.append(f(k))
-    except OverflowError:
-        values += [math.inf] * (size - len(values))
-    fv = np.array(values, dtype=float)
-    n = np.arange(n_max + 1)
+    lo, hi = _occupation_offsets(q)
+    fv = np.array(f.values(n_max + lo + hi + 2), dtype=float)
+    na = np.arange(lo, lo + n_max + 1)
+    nb = np.arange(hi, hi + n_max + 1)
     off = np.zeros(n_max + 2)
-    # each element is formed in the operation order of its scalar formula,
-    # (n+q+1) f(n+q+1)^2 + n f(n)^2 and sqrt((n+q) n) f(n+q) f(n), so it is
-    # the same double
     with np.errstate(over="ignore", invalid="ignore"):
         f2 = fv * fv
-        if q >= 0:
-            diag = (n + q + 1) * f2[q + 1 : q + n_max + 2] + n * f2[: n_max + 1]
-            off[1:] = (np.sqrt(((n + 1 + q) * (n + 1)).astype(float))
-                       * fv[q + 1 : q + n_max + 2] * fv[1 : n_max + 2])
-        else:
-            diag = (n + 1) * f2[1 : n_max + 2] + (n + a) * f2[a : a + n_max + 1]
-            off[1:] = (np.sqrt(((n + 1) * (n + 1 + a)).astype(float))
-                       * fv[1 : n_max + 2] * fv[a + 1 : a + n_max + 2])
+        diag = (na + 1) * f2[lo + 1 : lo + n_max + 2] + nb * f2[hi : hi + n_max + 1]
+        off[1:] = (np.sqrt(((na + 1) * (nb + 1)).astype(float))
+                   * fv[lo + 1 : lo + n_max + 2] * fv[hi + 1 : hi + n_max + 2])
     bad = ~np.isfinite(off)
     bad[:-1] |= ~np.isfinite(diag)
     if bad.any():
@@ -203,11 +194,13 @@ def _recursion_states(
                 n += 1
                 c[n] = nxt
                 try:
-                    grow = abs(nxt) > RESCALE_LIMIT
+                    grow = not abs(nxt) <= RESCALE_LIMIT  # NaN rescales too
                 except OverflowError:  # |nxt| beyond double range, finite parts
                     grow = True
                 if grow:
                     m = np.abs(c[: n + 1]).max()
+                    if not math.isfinite(m):
+                        raise LadderOverflowError(n)
                     c[: n + 1] /= m
                     below, cur = complex(c[n - 1]), complex(c[n])
                     log_scale += math.log(m)
@@ -265,16 +258,6 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _inner_sum_coefficients(n: int, a: int) -> list[int]:
-    """Integer weights A_k = C(n, k) * (n+a)(n+a-1)...(n+a-k+1), k = 0..n."""
-    weights = [1]
-    acc = 1
-    for k in range(n):
-        acc = acc * (n - k) // (k + 1) * (n + a - k)
-        weights.append(acc)
-    return weights
-
-
 def _split_binary(x: float):
     try:
         m, d = float(x).as_integer_ratio()
@@ -301,17 +284,19 @@ def _exact_alternating_sum_log(n: int, a: int, xi: complex):
     severe cancellation of the alternating sum costs no precision; only the
     final conversion to (log_abs, phase) rounds.
     """
-    weights = _inner_sum_coefficients(n, a)
     mr, er = _split_binary(xi.real)
     mi, ei = _split_binary(xi.imag)
     ee = max(er, ei)
     mr <<= ee - er
     mi <<= ee - ei
-    # Horner on P(xi) * 2**(ee*n): coefficient of xi^j is (-1)^(n-j) A_{n-j}.
+    # Horner on P(xi) * 2**(ee*n): coefficient of xi^j is (-1)^(n-j) A_{n-j},
+    # with A_k = C(n, k) * (n+a)(n+a-1)...(n+a-k+1) formed step by step in w.
     ar, ai = 1, 0  # leading coefficient A_0 = 1
+    w = 1
     pure_real = mi == 0
     for s in range(1, n + 1):
-        b = -weights[s] if s % 2 else weights[s]
+        w = w * (n - s + 1) // s * (n + a - s + 1)
+        b = -w if s % 2 else w
         if pure_real:
             ar = ar * mr + (b << (ee * s))
         else:
@@ -457,12 +442,18 @@ def eigen_residual(f: nl.NonlinearityFunction, state: ChargeState) -> np.ndarray
 
     Rows 0 .. n_max-1 are interior (enforced by the recursion, limited only
     by round-off); row n_max is the truncation boundary and is expected to
-    be nonzero.
+    be nonzero.  A row that is not finite raises LadderOverflowError naming
+    the first such row.
     """
     if state.n_max + 1 < 3:
         raise PreconditionError("eigen_residual requires ladder length >= 3")
-    image, _ = apply_tridiagonal(f, state)
-    return np.abs(image - state.xi * state.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        image, _ = apply_tridiagonal(f, state)
+        rows = np.abs(image - state.xi * state.coeffs)
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        raise LadderOverflowError(int(bad.argmax()))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +560,8 @@ def state_to_document(state: ChargeState) -> dict:
         "branch": state.branch,
         "n_max": state.n_max,
         "coeffs": [[c.real, c.imag] for c in state.coeffs],
-        "pre_norm": state.pre_norm,
+        "pre_norm": state.pre_norm if state.pre_norm < math.inf else None,
+        "log_pre_norm": state.log_pre_norm,
         "rescale_count": state.rescale_count,
     }
 
@@ -577,7 +569,6 @@ def state_to_document(state: ChargeState) -> dict:
 def state_from_document(doc: dict) -> ChargeState:
     f_spec = nl.NonlinearityFunction(doc["f"]["name"], doc["f"]["params"])
     coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-    pre = float(doc["pre_norm"])
     return ChargeState(
         q=int(doc["q"]),
         xi=complex(doc["xi"][0], doc["xi"][1]),
@@ -585,7 +576,7 @@ def state_from_document(doc: dict) -> ChargeState:
         branch=doc["branch"],
         n_max=int(doc["n_max"]),
         coeffs=coeffs,
-        pre_norm=pre,
-        log_pre_norm=math.log(pre) if 0 < pre < math.inf else math.inf,
+        pre_norm=math.inf if doc["pre_norm"] is None else float(doc["pre_norm"]),
+        log_pre_norm=float(doc["log_pre_norm"]),
         rescale_count=int(doc["rescale_count"]),
     )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -23,6 +24,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise AssertionError(f"JSON holds {name}")
+
+
+def strict_json(text):
+    """Parse JSON that must hold no Infinity or NaN."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 ERRORS_AND_CODES = [
@@ -90,6 +100,14 @@ class TestBuild:
                            "--xi", "5", "--nmax", n_max)
         assert code == 2
         assert "index" in err
+
+    def test_overflowed_pre_norm_is_null(self, capsys):
+        code, out, _ = run(capsys, "build", "--f", "ps:0.5", "--q", "3",
+                           "--xi", "5", "--nmax", "300")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["pre_norm"] is None
+        assert math.log(sys.float_info.max) < doc["log_pre_norm"] < math.inf
 
     @pytest.mark.parametrize("spec", ["qdef:nan", "qdef:inf"])
     def test_non_finite_deformation_parameter_exits_1(self, capsys, spec):
@@ -255,12 +273,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--f", "unity", "--q", "1", "--nmax", "40")
         assert code == 1
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-3"])
-    def test_diag_tol_must_be_finite_and_positive(self, capsys, tol):
-        code, out, err = run(capsys, "verify", "--f", "unity", "--q", "1", "--xi", "5",
-                             "--nmax", "10", f"--diag-tol={tol}")
-        assert code == 1 and out == ""
-        assert "diag_tol" in err
+    def test_overflowed_pre_norm2_is_null(self, capsys):
+        code, out, _ = run(capsys, "verify", "--f", "qdef:7", "--q", "3",
+                           "--xi", "5", "--nmax", "80")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["pre_norm"] is not None and doc["pre_norm2"] is None
+        assert doc["norm_divergent"] is True
+        assert '"diag_tol": 0.001,' in out
+
+    def test_non_finite_recursion_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--f", "ps:0.5", "--q", "1",
+                             "--xi", "5", "--nmax", "170")
+        assert code == 2 and out == ""
+        assert "index 338" in err
 
     def test_default_second_cutoff(self, capsys):
         code, out, _ = run(capsys, "verify", "--f", "ps:0.5", "--q", "-1",

@@ -1,5 +1,7 @@
 """Tests for the deformation-function catalog and its spec grammar."""
 
+import math
+
 import pytest
 
 from chargestate.errors import ParameterRangeError, PreconditionError, SpecParseError
@@ -57,6 +59,21 @@ def test_penson_p1_is_unity():
 @pytest.mark.parametrize("f", ALL_CATALOG)
 def test_strictly_positive_for_positive_n(f):
     assert all(f(n) > 0.0 for n in range(1, 40))
+
+
+@pytest.mark.parametrize("f", ALL_CATALOG)
+def test_values_are_the_calls(f):
+    assert f.values(60) == [f(n) for n in range(60)]
+
+
+@pytest.mark.parametrize("f, first", [(penson_solomon(0.5), 1025), (q_deformed(7.0), 366)])
+def test_values_inf_from_first_overflow(f, first):
+    # float pow (ps) and math.sinh (qdef) raise OverflowError rather than return inf
+    with pytest.raises(OverflowError):
+        f(first)
+    values = f.values(first + 10)
+    assert all(math.isfinite(v) for v in values[:first])
+    assert values[first:] == [math.inf] * 10
 
 
 def test_parse_examples():

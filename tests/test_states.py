@@ -50,8 +50,8 @@ class _ZeroAtTwo:
     kind = "stub"
     params = {}
 
-    def __call__(self, n):
-        return 0.0 if n == 2 else 1.0
+    def values(self, count):
+        return [0.0 if n == 2 else 1.0 for n in range(count)]
 
 
 class TestTruncationPolicy:
@@ -98,6 +98,13 @@ class TestBuildDeformed:
         with pytest.raises(LadderOverflowError):
             build_deformed(penson_solomon(0.5), 1, 5.0, TruncationPolicy(600))
 
+    @pytest.mark.parametrize("f, n_max, index", [(penson_solomon(0.5), 340, 338),
+                                                 (q_deformed(7.0), 245, 244)])
+    def test_non_finite_recursion_step_raises(self, f, n_max, index):
+        with pytest.raises(LadderOverflowError) as err:
+            build_deformed(f, 1, 5.0, TruncationPolicy(n_max))
+        assert err.value.index == index
+
     def test_rescaling_keeps_norm_and_counts(self):
         state = build_deformed(penson_solomon(0.5), 3, 5.0, TruncationPolicy(300))
         assert state.rescale_count >= 1
@@ -125,16 +132,17 @@ class TestBuildDeformed:
 
 
 class _Counted:
-    """Deformation wrapper that records evaluations and overflows from an occupation on."""
+    """Deformation wrapper that records evaluations and is inf from an occupation on."""
 
     def __init__(self, f, overflow_from=None):
         self.f, self.overflow_from, self.calls = f, overflow_from, []
 
-    def __call__(self, n):
-        self.calls.append(n)
-        if self.overflow_from is not None and n >= self.overflow_from:
-            raise OverflowError("stub overflow")
-        return self.f(n)
+    def values(self, count):
+        self.calls.extend(range(count))
+        out = self.f.values(count)
+        if self.overflow_from is not None:
+            out[self.overflow_from:] = [math.inf] * max(count - self.overflow_from, 0)
+        return out
 
 
 def _first_non_finite(diag, off):
@@ -165,14 +173,18 @@ class TestLadderKernel:
             for xi in (1.0, 5.0, 2 + 1j, 0.625):
                 with np.errstate(all="ignore"):
                     raw, log_scale, rescales = recursion_scalar(diag, off, xi, n_max, RESCALE_LIMIT)
-                    want = ChargeState.from_raw(q, xi, f, raw, log_scale=log_scale,
-                                                rescale_count=rescales)
-                    got = build_deformed(f, q, xi, TruncationPolicy(n_max))
-                # == ignores the sign of zero imaginary parts; NaN states stay NaN
-                assert np.array_equal(got.coeffs, want.coeffs, equal_nan=True), (q, n_max, xi)
+                if not np.isfinite(raw).all():
+                    with pytest.raises(LadderOverflowError) as err:
+                        build_deformed(f, q, xi, TruncationPolicy(n_max))
+                    assert err.value.index == int(np.argmax(~np.isfinite(raw))), (q, n_max, xi)
+                    continue
+                want = ChargeState.from_raw(q, xi, f, raw, log_scale=log_scale,
+                                            rescale_count=rescales)
+                got = build_deformed(f, q, xi, TruncationPolicy(n_max))
+                # == ignores the sign of zero imaginary parts
+                assert np.array_equal(got.coeffs, want.coeffs), (q, n_max, xi)
                 assert got.rescale_count == want.rescale_count
-                assert np.array_equal([got.log_pre_norm, got.pre_norm],
-                                      [want.log_pre_norm, want.pre_norm], equal_nan=True)
+                assert [got.log_pre_norm, got.pre_norm] == [want.log_pre_norm, want.pre_norm]
 
     @pytest.mark.parametrize("q", [-2, 0, 3])
     def test_f_evaluated_once_per_occupation(self, q):
@@ -399,6 +411,18 @@ class TestEigenResidual:
         rows = eigen_residual(unity(), state)
         assert rows[:-1].max() <= 1e-6 * max(1.0, 5.0)
 
+    def test_non_finite_row_raises(self):
+        # every element is finite, but row 0 sums f(1)^2 (c_0 + c_1) past double range
+        class Stub:
+            def values(self, count):
+                return [1.0, math.sqrt(1.5e308)] + [1.0] * (count - 2)
+
+        c = np.array([1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+        state = ChargeState.from_raw(0, 0.0, Stub(), c)
+        with pytest.raises(LadderOverflowError) as err:
+            eigen_residual(Stub(), state)
+        assert err.value.index == 0
+
     def test_short_ladder_rejected(self):
         state = build_deformed(unity(), 0, 2.0, TruncationPolicy(1))
         with pytest.raises(PreconditionError):
@@ -444,7 +468,8 @@ class TestSerialization:
         state = build_deformed(penson_solomon(0.5), -1, 2 + 1j, TruncationPolicy(6))
         doc = state_to_document(state)
         assert set(doc) == {
-            "q", "xi", "f", "branch", "n_max", "coeffs", "pre_norm", "rescale_count",
+            "q", "xi", "f", "branch", "n_max", "coeffs", "pre_norm", "log_pre_norm",
+            "rescale_count",
         }
         assert doc["xi"] == [2.0, 1.0]
         assert doc["f"] == {"name": "penson_solomon", "params": {"p": 0.5}}
@@ -462,4 +487,13 @@ class TestSerialization:
         assert again.f_spec.kind == state.f_spec.kind
         assert np.array_equal(again.coeffs, state.coeffs)
         assert again.pre_norm == state.pre_norm
+        assert again.log_pre_norm == state.log_pre_norm
         assert again.rescale_count == state.rescale_count
+
+    def test_overflowed_pre_norm_is_null(self):
+        state = build_deformed(penson_solomon(0.5), 3, 5.0, TruncationPolicy(300))
+        doc = state_to_document(state)
+        assert doc["pre_norm"] is None
+        again = state_from_document(json.loads(json.dumps(doc, allow_nan=False)))
+        assert again.pre_norm == math.inf
+        assert again.log_pre_norm == state.log_pre_norm
