@@ -1,19 +1,27 @@
 """Two-mode Husimi quasi-probability at points, on grids, and its norm check.
 
-All three evaluate one kernel, ``_q_values``, over arrays of (alpha1, alpha2)
-nodes.  On a fixed-charge ladder the coherent overlap is
+All three evaluate one kernel over arrays of (alpha1, alpha2) nodes.  On a
+fixed-charge ladder the coherent overlap is
 
     <alpha1, alpha2|psi> = w^|q| sum_n p_n z^n,   p_n = c_n / sqrt(n_a! n_b!),
 
 with z = conj(alpha1 alpha2) and w = conj(alpha1) for q >= 0, conj(alpha2)
 for q < 0.  The ladder is cut into segments of ``_SEGMENT`` coefficients,
-each divided by its largest |p_n| and summed in z by Estrin's scheme for all
-nodes at once.  The segment sums are combined in log-magnitude form, relative
-to the node's largest one (the per-node scale), and Q is one exp of that
-scale plus 2 log|sum|, the Gaussian and |q| log|w|^2.  So nothing overflows
-and no significant term underflows, for any finite amplitudes and ladder
-length.  Every step is elementwise over nodes or a sum along one node's own
-row, so ``husimi_point`` equals the matching ``husimi_grid`` node bit for bit.
+each divided by its largest |p_n|; this table depends on the state alone and
+is built once for the last state evaluated.  Every segment is summed in z by
+Horner's scheme for a block of nodes at once.  The segment sums are combined
+in log-magnitude form, relative to the node's largest one (the per-node
+scale), their phases by Horner's scheme in (z/|z|)^_SEGMENT, and Q is one exp
+of that scale plus 2 log|sum|, the Gaussian and |q| log|w|^2.  So nothing
+overflows and no significant term underflows, for any finite amplitudes and
+ladder length.
+
+The kernel, ``_polar_q_values``, takes each node in polar form: log|alpha1|,
+log|alpha2|, the phase z/|z| and |alpha1|^2 + |alpha2|^2.  ``_q_values`` is
+its Cartesian front for points and grids; the norm check forms the polar
+parts straight from its uniform draws.  Every step is elementwise over nodes
+or runs along one node's own column, so ``husimi_point`` equals the matching
+``husimi_grid`` node bit for bit.
 
 The single 1/pi prefactor of the two-mode definition is kept as is; under it
 the phase-space integral of Q over all of C^2 is pi for any normalized state,
@@ -30,10 +38,10 @@ import numpy as np
 from .errors import PreconditionError
 from .states import ChargeState
 
-# Ladder coefficients per segment (a power of two), and the nodes x ladder
-# elements evaluated at once, which bounds every working array.
+# Ladder coefficients per segment (a power of two), and the nodes x segments
+# evaluated at once, which bounds every working array.
 _SEGMENT = 16
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 # Weights below exp(-700) cannot change a double sum, and exp is slow there.
 _LOG_FLOOR = -700.0
 # |z| is capped at exp(46), so |z|^(_SEGMENT - 1) stays finite; beyond it the
@@ -41,6 +49,10 @@ _LOG_FLOOR = -700.0
 _LOG_Z_CAP = 46.0
 # log 0 where 0 * log 0 or a difference of two must stay defined.
 _LOG_ZERO = -1e300
+_FLOAT_MAX = np.finfo(float).max
+
+# The segment table of the last state evaluated, as (state, table).
+_last_table = None
 
 
 @dataclass(frozen=True)
@@ -71,55 +83,97 @@ class HusimiGrid:
 def _unit(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     """v / |v| given r = |v|, and 0 where v = 0: part by part, since a complex
     v / r overflows for subnormal r."""
-    out = np.zeros_like(v)
-    np.divide(v.real, r, out=out.real, where=r > 0)
-    np.divide(v.imag, r, out=out.imag, where=r > 0)
+    out, positive = np.zeros_like(v), r > 0
+    np.divide(v.real, r, out=out.real, where=positive)
+    np.divide(v.imag, r, out=out.imag, where=positive)
     return out
 
 
-def _q_values(state: ChargeState, alpha1, alpha2) -> np.ndarray:
-    """Q at every node (alpha1[i], alpha2[i]): the one coherent-overlap kernel."""
-    amp = np.array([alpha1, alpha2], dtype=complex)
-    if not np.isfinite(amp).all():
-        raise PreconditionError("Husimi amplitudes must be finite")
+def _segment_table(state: ChargeState) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The state's ladder cut into segments, as (scale, start, columns).
+
+    Segment k holds the ``width`` coefficients p_n from ladder index
+    ``start[k]`` on, divided by exp(``scale[k]``), the largest |p_n| in it.
+    ``columns`` are the (count, 1) slices of those rows in Horner order,
+    highest power first.  The table of the last state is kept, keyed by its
+    identity: a state is frozen and its coefficients read-only.
+    """
+    global _last_table
+    memo = _last_table  # read once: a concurrent call can only recompute
+    if memo is not None and memo[0] is state:
+        return memo[1]
     c, charge = state.coeffs, abs(state.q)
     width = min(_SEGMENT, 1 << (len(c) - 1).bit_length())
     count = -(-len(c) // width)
     coef = np.concatenate((c, np.zeros(count * width - len(c)))).reshape(count, width)
     # log k!; on either branch the occupations of ladder index n are n and n + |q|
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, coef.size + charge)))))
-    start = np.arange(count)[:, None] * width  # each segment's first ladder index
-    out = np.empty(amp.shape[1])
-    # log 0 = -inf is meant throughout; overflow to inf only where Q is 0
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore"):  # log 0 = -inf is meant
         abs_c = np.abs(coef)
         log_p = np.log(abs_c) - 0.5 * (log_fact[:coef.size] + log_fact[charge:]).reshape(count, width)
-        scale = log_p.max(axis=1, keepdims=True, initial=_LOG_ZERO)
-        rows = np.exp(log_p - scale) * _unit(coef, abs_c)  # p_n / exp(scale), by segment
-        step = max(1, _BLOCK // (count * _SEGMENT))
+    scale = log_p.max(axis=1, keepdims=True, initial=_LOG_ZERO)
+    rows = np.exp(log_p - scale) * _unit(coef, abs_c)
+    columns = tuple(rows[:, j:j + 1] for j in range(width - 1, -1, -1))
+    table = scale, np.arange(count)[:, None] * width, columns
+    _last_table = state, table
+    return table
+
+
+def _polar_q_values(state: ChargeState, log_r: np.ndarray, u: np.ndarray,
+                    gauss: np.ndarray) -> np.ndarray:
+    """Q at m nodes given in polar form: the one coherent-overlap kernel.
+
+    ``log_r`` (2, m) holds log|alpha1| and log|alpha2|, at least _LOG_ZERO;
+    ``u`` (1, m) is z / |z| for z = conj(alpha1 alpha2), 0 where z = 0; and
+    ``gauss`` (m) is |alpha1|^2 + |alpha2|^2.
+    """
+    scale, start, columns = _segment_table(state)
+    count, width = len(scale), len(columns)
+    charge = abs(state.q)
+    log_w = log_r[0 if state.q > 0 else 1]
+    out = np.empty(len(gauss))
+    step = max(1, _BLOCK // count)
+    # overflow to inf only where Q is 0, and log 0 = -inf is meant throughout
+    with np.errstate(divide="ignore", over="ignore"):
         for at in range(0, len(out), step):
-            # 2-D (2, m) and (1, m) rows: numpy multiplies complex arrays of equal
-            # dimension by one formula for any m, a 1-D factor by another at m = 1
-            block = amp[:, at:at + step]
-            r = np.minimum(np.abs(block), np.finfo(float).max)  # |alpha| of finite alpha can be inf
-            log_r = np.maximum(np.log(r), _LOG_ZERO)
-            log_z = np.minimum(log_r[:1] + log_r[1:], _LOG_Z_CAP)
-            unit = _unit(block, r)
-            u = (unit[:1] * unit[1:]).conj()  # z / |z|
-            acc, power = rows.T[:, :, None], (u * np.exp(log_z))[None]
-            while len(acc) > 1:  # Estrin's scheme, all segments at once
-                acc, power = acc[0::2] + acc[1::2] * power, power * power
-            mag = np.abs(acc[0])
+            # complex products only between 2-D arrays and into a new array:
+            # numpy rounds those alike for any m, but not one made in place
+            unit = u[:, at:at + step]
+            log_z = np.minimum(log_r[:1, at:at + step] + log_r[1:, at:at + step], _LOG_Z_CAP)
+            z = unit * np.exp(log_z)
+            if z.shape[1] == 1:  # a lone node: a product unbroadcast is faster, same bits
+                z = np.repeat(z, count, axis=0)
+            acc = np.repeat(columns[0], unit.shape[1], axis=1)
+            for column in columns[1:]:  # Horner's scheme, all segments at once
+                acc = acc * z
+                acc += column  # a sum rounds the same in place
+            mag = np.abs(acc)
             log_seg = scale + start * log_z + np.log(mag)
             top = log_seg.max(axis=0, keepdims=True, initial=_LOG_ZERO)
-            weight = np.exp(np.maximum(log_seg - top, _LOG_FLOOR))
-            terms = _unit(acc[0], mag) * weight * u ** start
-            # summed along each node's own contiguous row: the same order for any m
-            total = np.einsum("ij->i", np.ascontiguousarray(terms.T))
-            log_w = log_r[0 if state.q > 0 else 1]
-            log_q = 2.0 * (top[0] + np.log(np.abs(total)) + charge * log_w) - (r * r).sum(axis=0)
-            out[at:at + step] = np.exp(log_q) / math.pi
+            terms = _unit(acc, mag) * np.exp(np.maximum(log_seg - top, _LOG_FLOOR))
+            # the sum over segments k of terms[k] unit^(k width), by Horner's
+            # scheme in unit^width
+            power, total = unit, terms[-1:]
+            for _ in range(width.bit_length() - 1):
+                power = power * power
+            for row in terms[-2::-1]:
+                total = total * power + row
+            log_q = 2.0 * (top[0] + np.log(np.abs(total[0])) + charge * log_w[at:at + step])
+            out[at:at + step] = np.exp(log_q - gauss[at:at + step]) / math.pi
     return out
+
+
+def _q_values(state: ChargeState, alpha1, alpha2) -> np.ndarray:
+    """Q at every node (alpha1[i], alpha2[i]): the kernel's Cartesian front."""
+    amp = np.array([alpha1, alpha2], dtype=complex)
+    if not np.isfinite(amp).all():
+        raise PreconditionError("Husimi amplitudes must be finite")
+    r = np.minimum(np.abs(amp), _FLOAT_MAX)  # |alpha| of finite alpha can be inf
+    with np.errstate(divide="ignore", over="ignore"):
+        log_r = np.maximum(np.log(r), _LOG_ZERO)
+        gauss = (r * r).sum(axis=0)
+    unit = _unit(amp, r)
+    return _polar_q_values(state, log_r, (unit[:1] * unit[1:]).conj(), gauss)
 
 
 def husimi_point(state: ChargeState, alpha1: complex, alpha2: complex) -> float:
@@ -164,10 +218,17 @@ def husimi_norm_check(
     if not 0 < radius <= 18:  # false for NaN too
         raise PreconditionError("radius must lie in (0, 18], the overflow-safe range")
     rng = np.random.default_rng(seed)
+    log_radius = math.log(radius)
     total = 0.0
     for done in range(0, samples, 100_000):
+        # alpha1 = radius sqrt(u0) exp(2 pi i u1), alpha2 likewise from u2, u3
         u = rng.random((4, min(100_000, samples - done)))
-        a1 = radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
-        a2 = radius * np.sqrt(u[2]) * np.exp(2j * np.pi * u[3])
-        total += float(_q_values(state, a1, a2).sum())
+        with np.errstate(divide="ignore"):  # u0 or u2 = 0 gives log 0 = -inf
+            log_r = np.maximum(log_radius + 0.5 * np.log(u[0::2]), _LOG_ZERO)
+        # conj(alpha1 alpha2) / |alpha1 alpha2|, by cos and sin: a complex exp is slower
+        angle = -2 * np.pi * (u[1:2] + u[3:4])
+        phase = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        total += float(_polar_q_values(state, log_r, phase, radius**2 * (u[0] + u[2])).sum())
     return (math.pi * radius**2) ** 2 * total / samples

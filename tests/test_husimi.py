@@ -98,9 +98,11 @@ class TestOverlapKernel:
 
 class TestHusimiGrid:
     def test_pointwise_contract(self):
-        # the 61^2 grid at n_max 320 spans more than one kernel block
-        for n_max, x_range, y_range in ((20, (-2.0, 2.0, 3), (-1.0, 1.0, 3)),
-                                        (320, (-6.0, 6.0, 61), (-6.0, 6.0, 61))):
+        # one-segment ladders (n_max <= 15: a point is a 1x1 array), the segment
+        # boundary at 16, and a 61^2 grid at n_max 320 spanning several blocks
+        small = ((-2.0, 2.0, 3), (-1.0, 1.0, 3))
+        for n_max, x_range, y_range in ([(n, *small) for n in (0, 5, 15, 16, 17, 20)]
+                                        + [(320, (-6.0, 6.0, 61), (-6.0, 6.0, 61))]):
             state = build_deformed(unity(), 1, 5.0, TruncationPolicy(n_max))
             grid = husimi_grid(state, 1 + 1j, x_range, y_range)
             xs, ys = grid.axes()
@@ -108,6 +110,23 @@ class TestHusimiGrid:
                 for iy in range(len(ys)):
                     want = husimi_point(state, complex(xs[ix], ys[iy]), 1 + 1j)
                     assert grid.values[ix * len(ys) + iy] == want
+
+    def test_points_alternating_between_states(self):
+        # each value comes from its own state's segment table: the grids match
+        # the term-by-term oracle, and points taken in turn match their grid
+        states = [build_deformed(unity(), 1, 5.0, TruncationPolicy(40)),
+                  build_deformed(penson_solomon(0.5), -2, 3 + 1j, TruncationPolicy(40))]
+        nodes = [complex(x, y) for x in np.linspace(-2.0, 2.0, 5) for y in np.linspace(-2.0, 2.0, 5)]
+        grids = []
+        for state in states:
+            grid = husimi_grid(state, 1 + 1j, (-2.0, 2.0, 5), (-2.0, 2.0, 5))
+            reference = TermwiseLogOverlap(state)
+            for alpha1, value in zip(nodes, grid.values):
+                assert_amplitude_close(value, *reference.evaluate(alpha1, 1 + 1j))
+            grids.append(grid)
+        for i, alpha1 in enumerate(nodes):
+            for state, grid in zip(states, grids):
+                assert husimi_point(state, alpha1, 1 + 1j) == grid.values[i]
 
     def test_ring_with_central_hole(self):
         state = build_deformed(unity(), 1, 10.0, TruncationPolicy(80))
@@ -156,6 +175,22 @@ class TestNormCheck:
         a = husimi_norm_check(state, samples=50_000, radius=5.0, seed=7)
         b = husimi_norm_check(state, samples=50_000, radius=5.0, seed=7)
         assert a == b
+
+    def test_polar_draw_matches_cartesian_amplitudes(self):
+        # complex xi: with real coefficients Q is even in the phase of
+        # alpha1 alpha2, and a flipped phase of the draw would not show
+        state = build_deformed(unity(), 1, 5 + 0.5j, TruncationPolicy(30))
+        samples, radius, seed = 150_000, 5.0, 3
+        rng = np.random.default_rng(seed)
+        total = 0.0
+        for size in (100_000, 50_000):  # the check's batches, in its draw order
+            u = rng.random((4, size))
+            a1 = radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
+            a2 = radius * np.sqrt(u[2]) * np.exp(2j * np.pi * u[3])
+            total += husimi._q_values(state, a1, a2).sum()
+        want = (math.pi * radius**2) ** 2 * total / samples
+        est = husimi_norm_check(state, samples=samples, radius=radius, seed=seed)
+        assert est == pytest.approx(want, rel=1e-12)
 
     def test_sample_floor_enforced(self):
         with pytest.raises(PreconditionError):
