@@ -10,6 +10,7 @@ For negative numeric flag values use the attached form, e.g. ``--xi=-2``.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -105,7 +106,10 @@ def _parse_complex_pair(text: str, flag: str) -> complex:
     return complex(re, im)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use and
+    shared by every call: parse with it, never modify it."""
     parser = _Parser(prog="chargestate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -124,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one diagnostic over xi (CSV: xi,value,defined)")
     p.add_argument("--diagnostic", required=True, choices=SWEEP_DIAGNOSTICS)
-    p.add_argument("--f", required=True, metavar="SPEC")
-    p.add_argument("--q", required=True, type=int)
+    common(p, xi=False)
     p.add_argument("--xi-start", required=True, type=float)
     p.add_argument("--xi-end", required=True, type=float)
     p.add_argument("--steps", required=True, type=int)
@@ -170,6 +173,22 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _inputs(args):
+    """--f, --q and --xi of a command, parsed in that order."""
+    return parse_spec(args.f), args.q, _parse_complex_pair(args.xi, "--xi")
+
+
+def _state(args):
+    f, q, xi = _inputs(args)
+    return build_deformed(f, q, xi, TruncationPolicy(args.nmax))
+
+
+# Each command but figures: parsed args -> the text it emits.
+
+def _build_json(args) -> str:
+    return json.dumps(state_to_document(_state(args)), allow_nan=False) + "\n"
+
+
 def _sweep_csv(spec: SweepSpec) -> str:
     f = parse_spec(spec.f_spec)
     lines = ["xi,value,defined"]
@@ -183,33 +202,38 @@ def _sweep_csv(spec: SweepSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pnd_csv(state) -> str:
+def _pnd_csv(args) -> str:
     lines = ["n,na,nb,p"]
-    for n, na, nb, p in dg.photon_distribution(state):
+    for n, na, nb, p in dg.photon_distribution(_state(args)):
         lines.append(f"{n},{na},{nb},{fmt(p)}")
     return "\n".join(lines) + "\n"
 
 
-def _husimi_csv(grid) -> str:
-    xs, ys = (list(map(fmt, axis)) for axis in grid.axes())
-    cells = zip(itertools.product(xs, ys), map(fmt, grid.values.tolist()))
-    return "x,y,q\n" + "".join(f"{x},{y},{q}\n" for (x, y), q in cells)
+def _husimi_csv(args) -> str:
+    alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")
+    grid = hq.husimi_grid(_state(args), alpha2, (args.xmin, args.xmax, args.grid),
+                          (args.ymin, args.ymax, args.grid))
+    xs, ys = (["%.17g," % v for v in axis.tolist()] for axis in grid.axes())
+    rows = zip(itertools.product(xs, ys), grid.values.tolist())
+    return "x,y,q\n" + "".join(["%s%s%.17g\n" % (x, y, q) for (x, y), q in rows])
 
 
-def _verify_json(f, q, xi, n_max, n_max2) -> str:
-    state = build_deformed(f, q, xi, TruncationPolicy(n_max))
+def _verify_json(args) -> str:
+    f, q, xi = _inputs(args)
+    n_max2 = args.nmax2 if args.nmax2 is not None else 2 * args.nmax
+    report = convergence_report(f, q, xi, args.nmax, n_max2)
+    state = report.coarse
     rows = eigen_residual(f, state)
-    report = convergence_report(f, q, xi, n_max, n_max2)
     doc = {
         "f": f.label(),
         "q": q,
         "xi": [xi.real, xi.imag],
-        "n_max": n_max,
+        "n_max": args.nmax,
         "n_max2": n_max2,
         "max_interior_residual": float(rows[:-1].max()),
         "boundary_residual": float(rows[-1]),
         "pre_norm": state.pre_norm if state.pre_norm < math.inf else None,
-        "pre_norm2": report.pre_norm_fine if report.pre_norm_fine < math.inf else None,
+        "pre_norm2": report.fine.pre_norm if report.fine.pre_norm < math.inf else None,
         "log_pre_norm_ratio": report.log_pre_norm_ratio,
         "norm_divergent": report.norm_divergent,
         "converged": report.converged(),
@@ -219,100 +243,62 @@ def _verify_json(f, q, xi, n_max, n_max2) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _run_build(args) -> int:
-    f = parse_spec(args.f)
-    xi = _parse_complex_pair(args.xi, "--xi")
-    state = build_deformed(f, args.q, xi, TruncationPolicy(args.nmax))
-    _emit(json.dumps(state_to_document(state), allow_nan=False) + "\n", args.out)
-    return EXIT_OK
-
-
-def _run_sweep(args) -> int:
-    spec = SweepSpec(args.diagnostic, args.xi_start, args.xi_end, args.steps, args.f, args.q, args.nmax)
-    _emit(_sweep_csv(spec), args.out)
-    return EXIT_OK
-
-
-def _run_pnd(args) -> int:
-    f = parse_spec(args.f)
-    xi = _parse_complex_pair(args.xi, "--xi")
-    state = build_deformed(f, args.q, xi, TruncationPolicy(args.nmax))
-    _emit(_pnd_csv(state), args.out)
-    return EXIT_OK
-
-
-def _run_husimi(args) -> int:
-    f = parse_spec(args.f)
-    xi = _parse_complex_pair(args.xi, "--xi")
-    alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")
-    state = build_deformed(f, args.q, xi, TruncationPolicy(args.nmax))
-    grid = hq.husimi_grid(state, alpha2, (args.xmin, args.xmax, args.grid),
-                          (args.ymin, args.ymax, args.grid))
-    _emit(_husimi_csv(grid), args.out)
-    return EXIT_OK
-
-
-def _run_verify(args) -> int:
-    f = parse_spec(args.f)
-    xi = _parse_complex_pair(args.xi, "--xi")
-    n_max2 = args.nmax2 if args.nmax2 is not None else 2 * args.nmax
-    _emit(_verify_json(f, args.q, xi, args.nmax, n_max2), args.out)
-    return EXIT_OK
-
-
-def _slug(f_label: str, q: int) -> str:
-    return f"{f_label.replace(':', '-')}_q{q}"
-
-
-def _run_figures(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    n_max = args.nmax
-    for fig, (diagnostic, curves) in FIGURE_SWEEPS.items():
-        for f_label, q in curves:
-            (outdir / f"{fig}_{_slug(f_label, q)}.csv").write_text(
-                _sweep_csv(SweepSpec(diagnostic, 1.0, 10.0, args.steps, f_label, q, n_max)))
-            (outdir / f"{fig}_{_slug(f_label, q)}_verify.json").write_text(
-                _verify_json(parse_spec(f_label), q, complex(5.0), n_max, 2 * n_max))
-    for f_label, q, xi in FIGURE_PND:
-        f = parse_spec(f_label)
-        state = build_deformed(f, q, xi, TruncationPolicy(n_max))
-        (outdir / f"fig5_{_slug(f_label, q)}.csv").write_text(_pnd_csv(state))
-        (outdir / f"fig5_{_slug(f_label, q)}_verify.json").write_text(
-            _verify_json(f, q, complex(xi), n_max, 2 * n_max))
-    for f_label, q in FIGURE_HUSIMI:
-        f = parse_spec(f_label)
-        state = build_deformed(f, q, complex(10.0), TruncationPolicy(n_max))
-        grid = hq.husimi_grid(state, 1 + 1j, (-6.0, 6.0, args.grid), (-6.0, 6.0, args.grid))
-        (outdir / f"fig6_{_slug(f_label, q)}.csv").write_text(_husimi_csv(grid))
-    print(f"figure data written to {outdir}", file=sys.stderr)
-    return EXIT_OK
-
-
 _RUNNERS = {
-    "build": _run_build,
-    "sweep": _run_sweep,
-    "pnd": _run_pnd,
-    "husimi": _run_husimi,
-    "verify": _run_verify,
-    "figures": _run_figures,
+    "build": _build_json,
+    "sweep": lambda args: _sweep_csv(SweepSpec(args.diagnostic, args.xi_start, args.xi_end,
+                                               args.steps, args.f, args.q, args.nmax)),
+    "pnd": _pnd_csv,
+    "husimi": _husimi_csv,
+    "verify": _verify_json,
 }
 
 
+def _figure_commands(n_max: int, steps: int, grid: int):
+    """(file name, argv) of every file ``figures`` writes, in order: each
+    file holds exactly what that single command emits."""
+    def command(fig, suffix, name, f_label, q, *flags):
+        return (f"{fig}_{f_label.replace(':', '-')}_q{q}{suffix}",
+                [name, "--f", f_label, f"--q={q}", *flags, f"--nmax={n_max}"])
+
+    for fig, (diagnostic, curves) in FIGURE_SWEEPS.items():
+        for f_label, q in curves:
+            yield command(fig, ".csv", "sweep", f_label, q, f"--diagnostic={diagnostic}",
+                          "--xi-start=1.0", "--xi-end=10.0", f"--steps={steps}")
+            yield command(fig, "_verify.json", "verify", f_label, q, "--xi=5.0")
+    for f_label, q, xi in FIGURE_PND:
+        yield command("fig5", ".csv", "pnd", f_label, q, f"--xi={xi}")
+        yield command("fig5", "_verify.json", "verify", f_label, q, f"--xi={xi}")
+    for f_label, q in FIGURE_HUSIMI:
+        yield command("fig6", ".csv", "husimi", f_label, q, "--xi=10.0", "--alpha2=1,1",
+                      "--xmin=-6.0", "--xmax=6.0", "--ymin=-6.0", "--ymax=6.0", f"--grid={grid}")
+
+
+def _write_figures(args):
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, argv in _figure_commands(args.nmax, args.steps, args.grid):
+        command = build_parser().parse_args(argv)
+        (outdir / name).write_text(_RUNNERS[command.command](command))
+    print(f"figure data written to {outdir}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _RUNNERS[args.command](args)
+        if args.command == "figures":
+            _write_figures(args)
+        else:
+            _emit(_RUNNERS[args.command](args), args.out)
     except ChargeStateError as exc:
         if isinstance(exc, ArithmeticError):
             print(f"chargestate: numeric failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         print(f"chargestate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -50,6 +50,9 @@ _LOG_Z_CAP = 46.0
 # log 0 where 0 * log 0 or a difference of two must stay defined.
 _LOG_ZERO = -1e300
 _FLOAT_MAX = np.finfo(float).max
+# Nodes per husimi_grid call (2048 x 2048): a larger grid is refused before
+# any allocation, since its node arrays alone would outgrow a modest machine.
+MAX_GRID_NODES = 1 << 22
 
 # The segment table of the last state evaluated, as (state, table).
 _last_table = None
@@ -195,6 +198,8 @@ def husimi_grid(
     y0, y1, ny = y_range
     if nx < 2 or ny < 2:
         raise PreconditionError("grid counts must be >= 2")
+    if nx * ny > MAX_GRID_NODES:
+        raise PreconditionError(f"grid of {nx} x {ny} nodes exceeds {MAX_GRID_NODES} nodes")
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
         raise PreconditionError("grid range bounds must be finite")
     alpha1 = np.add.outer(np.linspace(x0, x1, nx), 1j * np.linspace(y0, y1, ny)).ravel()

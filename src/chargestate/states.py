@@ -235,12 +235,13 @@ def continued_fraction_ratio(
     if n < 1:
         raise PreconditionError("continued_fraction_ratio requires n >= 1")
     xi = complex(xi)
-    diag, off = ladder_elements(f, q, n)
+    diag, off = (v.tolist() for v in ladder_elements(f, q, n))
     d = xi - diag[0]
     for j in range(2, n + 1):
         if d == 0:
             raise ContinuedFractionPoleError(j - 1)
-        d = (xi - diag[j - 1]) - off[j - 1] ** 2 / d
+        t = off[j - 1]
+        d = (xi - diag[j - 1]) - t * t / d
     t_n = off[n]
     if t_n == 0.0:
         raise ZeroDenominatorError(n)
@@ -479,8 +480,8 @@ class ConvergenceReport:
     n_coarse: int
     n_fine: int
     diag_tol: float
-    pre_norm_coarse: float
-    pre_norm_fine: float
+    coarse: ChargeState
+    fine: ChargeState
     log_pre_norm_ratio: float
     norm_divergent: bool
     drifts: tuple[DiagnosticDrift, ...]
@@ -505,6 +506,9 @@ def convergence_report(
     diag_tol: float = 1e-3,
 ) -> ConvergenceReport:
     """Compare states built at cutoffs n1 < n2, both from one recursion.
+
+    The report keeps both states; the coarse one is bit-identical to
+    build_deformed at n1.
 
     A diagnostic is flagged converged when its relative change between the
     cutoffs is at most diag_tol (undefined values are never converged); the
@@ -539,8 +543,8 @@ def convergence_report(
         n_coarse=n1,
         n_fine=n2,
         diag_tol=diag_tol,
-        pre_norm_coarse=coarse_state.pre_norm,
-        pre_norm_fine=fine_state.pre_norm,
+        coarse=coarse_state,
+        fine=fine_state,
         log_pre_norm_ratio=log_ratio,
         norm_divergent=log_ratio > math.log(NORM_DIVERGENCE_FACTOR),
         drifts=tuple(drifts),

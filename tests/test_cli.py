@@ -250,6 +250,14 @@ class TestHusimiCmd:
         assert code == 1 and out == ""
         assert "finite" in err
 
+    def test_grid_beyond_node_ceiling_exits_1(self, capsys):
+        # refused before the node arrays (14.6 TiB here) are allocated
+        code, out, err = run(capsys, "husimi", "--f", "unity", "--q", "1", "--xi", "5",
+                             "--alpha2", "1,1", "--xmin", "-1", "--xmax", "1",
+                             "--ymin", "-1", "--ymax", "1", "--grid", "1000000", "--nmax", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: grid of 1000000 x 1000000 nodes exceeds")
+
 
 class TestVerify:
     def test_report_fields(self, capsys):
@@ -294,6 +302,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["n_max2"] == 40
 
+    def test_second_cutoff_does_not_leak_between_calls(self, capsys):
+        args = ("verify", "--f", "ps:0.5", "--q=-1", "--xi", "5", "--nmax", "20")
+        run(capsys, *args, "--nmax2", "50")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["n_max2"] == 40
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys):
+        parser = cli.build_parser()
+        run(capsys, "pnd", "--f", "unity", "--q", "2", "--xi", "5", "--nmax", "3")
+        assert cli.build_parser() is parser
+        assert cli.build_parser.cache_info().currsize == 1
+
 
 class TestFigures:
     def test_writes_full_dataset(self, capsys, tmp_path):
@@ -309,6 +332,18 @@ class TestFigures:
         # 14 sweep curves (fig1-4) + 4 pnd + 8 husimi CSVs; verify per curve/pnd
         assert len([n for n in names if n.endswith(".csv")]) == 14 + 4 + 8
         assert len([n for n in names if n.endswith("_verify.json")]) == 14 + 4
+
+    def test_each_file_is_its_single_command_output(self, capsys, tmp_path):
+        out = tmp_path / "figs"
+        code, _, _ = run(capsys, "figures", "--outdir", str(out),
+                         "--nmax", "12", "--steps", "4", "--grid", "5")
+        assert code == 0
+        commands = list(cli._figure_commands(12, 4, 5))
+        assert sorted(name for name, _ in commands) == sorted(p.name for p in out.iterdir())
+        for name, argv in commands:
+            single = tmp_path / name
+            assert main(argv + ["--out", str(single)]) == 0
+            assert single.read_bytes() == (out / name).read_bytes(), name
 
 
 class TestSweepSpec:

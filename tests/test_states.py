@@ -220,7 +220,8 @@ class TestLadderKernel:
         assert (coarse.log_pre_norm, coarse.pre_norm, coarse.rescale_count) == (
             alone.log_pre_norm, alone.pre_norm, alone.rescale_count)
         rep = convergence_report(f, 3, 5.0, 150, 300)
-        assert rep.pre_norm_coarse == alone.pre_norm
+        assert rep.coarse.coeffs.tobytes() == alone.coeffs.tobytes()
+        assert rep.coarse.pre_norm == alone.pre_norm
         assert rep.log_pre_norm_ratio == fine.log_pre_norm - alone.log_pre_norm
 
 
