@@ -1,9 +1,10 @@
 """Command-line surface: build states, sweep diagnostics, emit distributions,
 Husimi grids and verification reports as CSV/JSON.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 numeric construction
-failure.  Data goes to stdout (or --out), logs to stderr.  Values are
-formatted with 17 significant digits so emitted CSV round-trips exactly.
+Exit codes: 0 success, 1 usage or parse failure (an unwritable output path
+included), 2 numeric construction failure.  Data goes to stdout (or --out),
+logs to stderr.  Values are formatted with 17 significant digits so emitted
+CSV round-trips exactly.
 For negative numeric flag values use the attached form, e.g. ``--xi=-2``.
 """
 
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
             _write_figures(args)
         else:
             _emit(_RUNNERS[args.command](args), args.out)
-    except ChargeStateError as exc:
+    except (ChargeStateError, OSError) as exc:  # OSError: an unwritable output path
         if isinstance(exc, ArithmeticError):
             print(f"chargestate: numeric failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

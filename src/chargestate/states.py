@@ -6,8 +6,11 @@ symmetric tridiagonal matrix; its eigenvalue relation at eigenvalue xi is a
 three-term recursion in the ladder coefficients.  The primary construction
 path is the forward recursion with seeds c_{-1} = 0, c_0 = 1; the bottom-up
 continued fraction for the coefficient ratios is kept as an independent
-cross-validation path, and the undeformed (f = 1) states have an exact
-closed-form builder plus a two-variable-Hermite reference builder.
+cross-validation path.  The undeformed (f = 1) states have two exact-integer
+builders by two algorithms: the closed form sums its alternating series
+directly, term by term, and the two-variable-Hermite reference steps the
+same polynomial by the Hermite index recurrence, O(1) big-integer operations
+per ladder index.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ MINUS = "minus"
 # style deformations grow the raw coefficients geometrically.
 RESCALE_LIMIT = 1e150
 
+# Occupations per ladder (2048 * 1024), refused before any allocation.  The
+# same working-set budget as husimi.MAX_GRID_NODES: a grid node costs about
+# 170 bytes, an occupation at most about 300 (the pnd command), so 2^22 nodes
+# and 2^21 occupations both stay within some 700 MB.
+MAX_OCCUPATIONS = 1 << 21
+
 # Recursion steps whose coefficients are converted to Python numbers at once;
 # bounds the memory of those lists on long ladders.
 _STEP_CHUNK = 512
@@ -53,6 +62,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.n_max < 0:
             raise PreconditionError("n_max must be >= 0")
+        if self.n_max > MAX_OCCUPATIONS:
+            raise PreconditionError(f"n_max {self.n_max} exceeds {MAX_OCCUPATIONS} occupations")
 
 
 @dataclass(frozen=True)
@@ -141,9 +152,13 @@ def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
     order, from ``f.values``.  If any element is not finite,
     LadderOverflowError names the lowest ladder index n at which diag[n] or
     offdiag[n] is not, which is the same for every cutoff that reaches it.
+    More than MAX_OCCUPATIONS occupations raise PreconditionError.
     """
     lo, hi = _occupation_offsets(q)
-    fv = np.array(f.values(n_max + lo + hi + 2), dtype=float)
+    count = n_max + lo + hi + 2
+    if count > MAX_OCCUPATIONS:
+        raise PreconditionError(f"ladder of {count} occupations exceeds {MAX_OCCUPATIONS}")
+    fv = np.array(f.values(count), dtype=float)
     na = np.arange(lo, lo + n_max + 1)
     nb = np.arange(hi, hi + n_max + 1)
     off = np.zeros(n_max + 2)
@@ -361,12 +376,14 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
     The raw coefficient at ladder index n is
     H_{na,nb}(sqrt(lam), sqrt(lam)) / sqrt(na! nb!) with the occupations of
     the branch of q; the global exp(-lam/2) of the unnormalized reference is
-    dropped (absorbed by normalization).  At real arguments sqrt(lam) the
-    Hermite values are lam^(|q|/2) times integer-coefficient polynomials in
-    lam, which are summed exactly in integer arithmetic: the defining
-    alternating sum cancels catastrophically in double precision in exactly
-    the regimes these states occupy, where its terms grow far larger than
-    the Hermite value they sum to.
+    dropped (absorbed by normalization).  With z = sqrt(lam) and a = |q|,
+    D_n = H_{n+a,n}(z,z)/z^a and E_n = H_{n+a+1,n}(z,z)/z^(a+1) are
+    polynomials in lam that the Hermite index recurrences step along the
+    diagonal: D_0 = E_0 = 1, D_n = lam E_{n-1} - (n+a) D_{n-1},
+    E_n = D_n - n E_{n-1}.  Scaled by 2^(el n), where lam = ml / 2^el, they
+    are integers, so the recurrence runs exactly: the Hermite values cancel
+    catastrophically in double precision in exactly the regimes these states
+    occupy.  The closed form sums the same polynomial directly, term by term.
     """
     if lam < 0:
         raise PreconditionError("lam must be >= 0")
@@ -381,26 +398,20 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
                 logs[n] = 0.0  # n! / sqrt(n! n!) = 1
         return signs, logs
     ml, el = _split_binary(lam)
+    s = 1 << el
     ln2 = math.log(2.0)
     half_global = 0.5 * a * math.log(lam)
+    d = e = 1  # D_n and E_n scaled by 2^(el n)
     for n in range(n_max + 1):
-        m = n + a
-        # H_{m,n}(z,z) with z^2 = lam: sum_k (-1)^k W_k lam^(n-k) * lam^(a/2),
-        # W_k = m! n! / (k! (m-k)! (n-k)!); scaled by 2^(el n) it is an
-        # integer series in ml = lam * 2^el, summed by Horner in ml.
-        total = 0
-        w = 1
-        for k in range(n + 1):
-            t = w << (el * k)
-            total = total * ml + (-t if (k & 1) else t)
-            if k < n:
-                w = w * (n - k) // (k + 1) * (m - k)
-        if total == 0:
+        if n:
+            d = ml * e - (n + a) * s * d
+            e = d - n * s * e
+        if d == 0:
             continue
-        signs[n] = 1.0 if total > 0 else -1.0
+        signs[n] = 1.0 if d > 0 else -1.0
         logs[n] = (
-            math.log(abs(total)) - n * el * ln2 + half_global
-            - 0.5 * (log_factorial(m) + log_factorial(n))
+            math.log(abs(d)) - n * el * ln2 + half_global
+            - 0.5 * (log_factorial(n + a) + log_factorial(n))
         )
     return signs, logs
 
@@ -413,7 +424,6 @@ def build_hermite_reference(q: int, lam: float, trunc: TruncationPolicy) -> Char
     """
     signs, logs = hermite_reference_terms(q, lam, trunc.n_max)
     phases = np.where(signs < 0, math.pi, 0.0)
-    logs = np.where(signs == 0, -math.inf, logs)
     return _materialize(q, complex(lam), nl.unity(), logs, phases)
 
 

@@ -113,6 +113,48 @@ def hermite_exact(m, n, z):
     return total_r, total_i
 
 
+def hermite_reference_terms_direct(q, lam, n_max):
+    """(sign, log magnitude) per ladder index of H_{na,nb}(z,z)/sqrt(na! nb!),
+    z^2 = lam, by the direct alternating sum over k, exact in integers.
+
+    The bit-identity reference for the index recurrence of
+    ``states.hermite_reference_terms``: the same integers, summed term by term.
+    """
+    a = abs(int(q))
+    signs = np.zeros(n_max + 1)
+    logs = np.full(n_max + 1, -math.inf)
+    if lam == 0.0:
+        if a == 0:
+            for n in range(n_max + 1):
+                signs[n] = -1.0 if n % 2 else 1.0
+                logs[n] = 0.0
+        return signs, logs
+    ml, den = float(lam).as_integer_ratio()
+    el = den.bit_length() - 1
+    ln2 = math.log(2.0)
+    half_global = 0.5 * a * math.log(lam)
+    for n in range(n_max + 1):
+        m = n + a
+        # H_{m,n}(z,z) with z^2 = lam: sum_k (-1)^k W_k lam^(n-k) * lam^(a/2),
+        # W_k = m! n! / (k! (m-k)! (n-k)!); scaled by 2^(el n) it is an
+        # integer series in ml = lam * 2^el, summed by Horner in ml.
+        total = 0
+        w = 1
+        for k in range(n + 1):
+            t = w << (el * k)
+            total = total * ml + (-t if (k & 1) else t)
+            if k < n:
+                w = w * (n - k) // (k + 1) * (m - k)
+        if total == 0:
+            continue
+        signs[n] = 1.0 if total > 0 else -1.0
+        logs[n] = (
+            math.log(abs(total)) - n * el * ln2 + half_global
+            - 0.5 * (math.lgamma(m + 1) + math.lgamma(n + 1))
+        )
+    return signs, logs
+
+
 # ---------------------------------------------------------------------------
 # Dense two-mode operator oracle.
 # ---------------------------------------------------------------------------

@@ -63,6 +63,29 @@ class TestExitCodes:
         assert got == code and out == ""
         assert err == f"chargestate: {prefix}: {exc}\n"
 
+    def test_unwritable_out_file_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "pnd", "--f", "unity", "--q", "1", "--xi", "5",
+                             "--nmax", "3", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: ") and str(target) in err
+
+    def test_outdir_that_is_a_file_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "README.md"
+        target.write_text("a file\n")
+        code, out, err = run(capsys, "figures", "--outdir", str(target), "--nmax", "3",
+                             "--steps", "2", "--grid", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: ") and str(target) in err
+        assert target.read_text() == "a file\n"
+
+    def test_memory_error_is_not_caught(self, capsys, monkeypatch):
+        def raise_it(args):
+            raise MemoryError
+        monkeypatch.setitem(cli._RUNNERS, "build", raise_it)
+        with pytest.raises(MemoryError):
+            main(["build", "--f", "unity", "--q", "1", "--xi", "5", "--nmax", "3"])
+
 
 class TestBuild:
     def test_emits_schema_document(self, capsys):
@@ -257,6 +280,21 @@ class TestHusimiCmd:
                              "--ymin", "-1", "--ymax", "1", "--grid", "1000000", "--nmax", "10")
         assert code == 1 and out == ""
         assert err.startswith("chargestate: error: grid of 1000000 x 1000000 nodes exceeds")
+
+
+class TestOccupationCeiling:
+    # refused before f.values or any array is sized by the input
+    def test_build_charge_beyond_ceiling_exits_1(self, capsys):
+        code, out, err = run(capsys, "build", "--f", "unity", "--q=2000000000",
+                             "--xi", "5", "--nmax", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: ladder of 2000000005 occupations exceeds")
+
+    def test_verify_cutoff_beyond_ceiling_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--f", "unity", "--q", "1", "--xi", "5",
+                             "--nmax", "2000000000")
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: ladder of 4000000003 occupations exceeds")
 
 
 class TestVerify:

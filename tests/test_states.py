@@ -15,6 +15,7 @@ from chargestate.errors import (
 )
 from chargestate.nonlinearity import intensity_sqrt, penson_solomon, q_deformed, unity
 from chargestate.states import (
+    MAX_OCCUPATIONS,
     RESCALE_LIMIT,
     ChargeState,
     TruncationPolicy,
@@ -35,6 +36,7 @@ from chargestate.states import (
 
 from _oracles import (
     hermite_exact,
+    hermite_reference_terms_direct,
     ladder_scalar,
     laguerre_series,
     recursion_scalar,
@@ -59,6 +61,14 @@ class TestTruncationPolicy:
         TruncationPolicy(0)
         with pytest.raises(PreconditionError):
             TruncationPolicy(-1)
+
+    def test_occupation_ceiling(self):
+        TruncationPolicy(MAX_OCCUPATIONS)
+        with pytest.raises(PreconditionError):
+            TruncationPolicy(MAX_OCCUPATIONS + 1)
+        # n_max + |q| + 2 occupations, refused before f is evaluated
+        with pytest.raises(PreconditionError, match="occupations exceeds"):
+            ladder_elements(unity(), -3, MAX_OCCUPATIONS - 4)
 
 
 class TestBuildDeformed:
@@ -326,8 +336,8 @@ class TestHermiteReference:
         with pytest.raises(PreconditionError):
             build_hermite_reference(1, -2.0, TruncationPolicy(6))
 
-    @pytest.mark.parametrize("q", [1, -2])
-    @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0])
+    @pytest.mark.parametrize("q", [1, -2, 0, 3])
+    @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0, 0.1, 123.456])
     def test_collinear_with_closed_form_at_xi_equals_lambda(self, q, lam):
         h = build_hermite_reference(q, lam, TruncationPolicy(60))
         c = build_linear_closed(q, lam, TruncationPolicy(60))
@@ -348,6 +358,19 @@ class TestHermiteReference:
             want = (math.log(abs(re.numerator)) - math.log(re.denominator)
                     - 0.5 * sum(math.log(math.factorial(k)) for k in occ))
             assert abs(logs[n] - want) <= 1e-13
+
+    @pytest.mark.parametrize("q", range(-4, 5))
+    @pytest.mark.parametrize(
+        "lam", [0.0, 1e-3, 0.5, 0.625, 1.0, 2.25, 5.0, 10.0, 10.875, 123.456, 3e4])
+    def test_terms_bit_identical_to_direct_sum(self, q, lam):
+        # the direct sum is independent per index, so its prefixes are the
+        # oracle at every smaller cutoff
+        cutoffs = [0, 1, 2, 5, 24, 60, 200] + ([320] if lam in (10.875, 123.456) else [])
+        want_signs, want_logs = hermite_reference_terms_direct(q, lam, cutoffs[-1])
+        for n_max in cutoffs:
+            signs, logs = hermite_reference_terms(q, lam, n_max)
+            assert np.array_equal(signs, want_signs[: n_max + 1]), n_max
+            assert np.array_equal(logs, want_logs[: n_max + 1]), n_max
 
     @pytest.mark.parametrize("lam", [5.0, 10.0])
     def test_sqrt_lambda_map_is_rejected(self, lam):
