@@ -37,8 +37,6 @@ from .states import (
     ChargeState,
     ConvergenceReport,
     TruncationPolicy,
-    apply_tridiagonal,
-    branch_for_charge,
     build_deformed,
     build_hermite_reference,
     build_linear_closed,

@@ -51,6 +51,12 @@ FIGURE_HUSIMI = [("unity", 1), ("unity", -1), ("ps:0.5", 2), ("ps:0.5", -2),
                  ("qdef:7", 3), ("qdef:7", -3), ("sqrt", 4), ("sqrt", -4)]
 
 
+# Sweep points, refused before any list is built.  The working-set budget of
+# husimi.MAX_GRID_NODES and states.MAX_OCCUPATIONS: a step costs about 180
+# bytes (its xi and CSV line), so 2^21 steps stay within some 700 MB.
+MAX_SWEEP_STEPS = 1 << 21
+
+
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -72,6 +78,8 @@ class SweepSpec:
             raise SpecParseError(self.diagnostic, f"unknown diagnostic {self.diagnostic!r}")
         if self.steps < 2:
             raise PreconditionError("sweep needs steps >= 2")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise PreconditionError(f"sweep of {self.steps} steps exceeds {MAX_SWEEP_STEPS}")
         if not (math.isfinite(self.xi_start) and math.isfinite(self.xi_end)):
             raise PreconditionError("sweep needs a finite xi range")
         if not self.xi_start < self.xi_end:

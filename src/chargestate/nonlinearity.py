@@ -3,7 +3,7 @@
 The catalog covers the identity (undeformed oscillator), the Penson-Solomon
 function p^(1-n), the intensity-dependent-coupling form sqrt(n), and the
 q-deformed oscillator function.  Parameters are validated at construction;
-evaluation is total on nonnegative integers.
+f is evaluated by ``values``, total on nonnegative integers (inf from an overflow).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ParameterRangeError, PreconditionError, SpecParseError
+from .errors import ParameterRangeError, SpecParseError
 
 UNITY = "unity"
 PENSON_SOLOMON = "penson_solomon"
@@ -23,7 +23,7 @@ Q_DEFORMED = "q_deformed"
 
 @dataclass(frozen=True)
 class NonlinearityFunction:
-    """A named deformation f(n), evaluable at nonnegative integers.
+    """A named deformation f(n), evaluated by ``values`` at nonnegative integers.
 
     Instances are immutable value objects; evaluation is pure.  Use the
     factory functions (``unity``, ``penson_solomon``, ...) or ``parse_spec``
@@ -56,12 +56,6 @@ class NonlinearityFunction:
             raise ParameterRangeError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         object.__setattr__(self, "_formula", formula)
-
-    def __call__(self, n: int) -> float:
-        """Evaluate f(n) for integer n >= 0."""
-        if n < 0:
-            raise PreconditionError(f"nonlinearity evaluated at negative occupation {n}")
-        return self._formula(n)
 
     def values(self, count: int) -> list[float]:
         """f(0), ..., f(count - 1), inf from the first n whose formula overflows."""

@@ -48,7 +48,7 @@ MAX_OCCUPATIONS = 1 << 21
 _STEP_CHUNK = 512
 
 
-def branch_for_charge(q: int) -> str:
+def _branch_for_charge(q: int) -> str:
     """q = 0 is assigned to the plus branch; both formulas coincide there."""
     return PLUS if q >= 0 else MINUS
 
@@ -90,7 +90,7 @@ class ChargeState:
     def __post_init__(self):
         if self.branch not in (PLUS, MINUS):
             raise PreconditionError(f"branch must be {PLUS!r} or {MINUS!r}")
-        if self.branch != branch_for_charge(self.q) and self.q != 0:
+        if self.branch != _branch_for_charge(self.q) and self.q != 0:
             raise PreconditionError(f"branch {self.branch!r} inconsistent with q={self.q}")
         if len(self.coeffs) != self.n_max + 1:
             raise PreconditionError("coeffs length must equal n_max + 1")
@@ -117,7 +117,7 @@ class ChargeState:
             q=int(q),
             xi=complex(xi),
             f_spec=f_spec,
-            branch=branch_for_charge(int(q)),
+            branch=_branch_for_charge(int(q)),
             n_max=len(raw) - 1,
             coeffs=coeffs,
             pre_norm=pre,
@@ -428,25 +428,8 @@ def build_hermite_reference(q: int, lam: float, trunc: TruncationPolicy) -> Char
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal application and residuals.
+# Residuals of the eigenvalue relation.
 # ---------------------------------------------------------------------------
-
-def apply_tridiagonal(f: nl.NonlinearityFunction, state: ChargeState):
-    """Apply the ladder tridiagonal of f to the state's coefficient vector.
-
-    Returns (image, leakage): the image restricted to the truncation window,
-    and the magnitude of the component that would leave it.
-    """
-    n_max = state.n_max
-    diag, off = ladder_elements(f, state.q, n_max)
-    c = state.coeffs
-    # row n is diag[n] c[n] + off[n] c[n-1] + off[n+1] c[n+1], added in that order
-    out = diag * c
-    out[1:] += off[1 : n_max + 1] * c[:-1]
-    out[:-1] += off[1 : n_max + 1] * c[1:]
-    leakage = abs(off[n_max + 1] * c[n_max])
-    return out, leakage
-
 
 def eigen_residual(f: nl.NonlinearityFunction, state: ChargeState) -> np.ndarray:
     """Per-row residual |(T - xi) c| of the eigenvalue relation.
@@ -456,11 +439,17 @@ def eigen_residual(f: nl.NonlinearityFunction, state: ChargeState) -> np.ndarray
     be nonzero.  A row that is not finite raises LadderOverflowError naming
     the first such row.
     """
-    if state.n_max + 1 < 3:
+    n_max = state.n_max
+    if n_max + 1 < 3:
         raise PreconditionError("eigen_residual requires ladder length >= 3")
+    diag, off = ladder_elements(f, state.q, n_max)
+    c = state.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        image, _ = apply_tridiagonal(f, state)
-        rows = np.abs(image - state.xi * state.coeffs)
+        # row n is diag[n] c[n] + off[n] c[n-1] + off[n+1] c[n+1], added in that order
+        image = diag * c
+        image[1:] += off[1 : n_max + 1] * c[:-1]
+        image[:-1] += off[1 : n_max + 1] * c[1:]
+        rows = np.abs(image - state.xi * c)
     bad = ~np.isfinite(rows)
     if bad.any():
         raise LadderOverflowError(int(bad.argmax()))

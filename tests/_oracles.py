@@ -166,8 +166,8 @@ class TwoModeSpace:
         self.dim_a, self.dim_b = dim_a, dim_b
         a = np.diag(np.sqrt(np.arange(1, dim_a)), 1)
         b = np.diag(np.sqrt(np.arange(1, dim_b)), 1)
-        fa = np.diag([f(n) for n in range(dim_a)])
-        fb = np.diag([f(n) for n in range(dim_b)])
+        fa = np.diag(f.values(dim_a))
+        fb = np.diag(f.values(dim_b))
         ia, ib = np.eye(dim_a), np.eye(dim_b)
         self.a = np.kron(a @ fa, ib)        # a f(n_a) acting on mode a
         self.b = np.kron(ia, b @ fb)
@@ -212,14 +212,15 @@ def dominant_ratio(f, q, probe=120):
     index (xi is negligible there).
     """
     a_q = abs(q)
+    fv = f.values(probe + a_q + 2)
     if q >= 0:
-        d = (probe + q + 1) * f(probe + q + 1) ** 2 + probe * f(probe) ** 2
-        t_lo = math.sqrt((probe + q) * probe) * f(probe + q) * f(probe)
-        t_hi = math.sqrt((probe + q + 1) * (probe + 1)) * f(probe + q + 1) * f(probe + 1)
+        d = (probe + q + 1) * fv[probe + q + 1] ** 2 + probe * fv[probe] ** 2
+        t_lo = math.sqrt((probe + q) * probe) * fv[probe + q] * fv[probe]
+        t_hi = math.sqrt((probe + q + 1) * (probe + 1)) * fv[probe + q + 1] * fv[probe + 1]
     else:
-        d = (probe + 1) * f(probe + 1) ** 2 + (probe + a_q) * f(probe + a_q) ** 2
-        t_lo = math.sqrt(probe * (probe + a_q)) * f(probe) * f(probe + a_q)
-        t_hi = math.sqrt((probe + 1) * (probe + 1 + a_q)) * f(probe + 1) * f(probe + 1 + a_q)
+        d = (probe + 1) * fv[probe + 1] ** 2 + (probe + a_q) * fv[probe + a_q] ** 2
+        t_lo = math.sqrt(probe * (probe + a_q)) * fv[probe] * fv[probe + a_q]
+        t_hi = math.sqrt((probe + 1) * (probe + 1 + a_q)) * fv[probe + 1] * fv[probe + 1 + a_q]
     a = d / t_hi
     b = t_lo / t_hi
     disc = a * a - 4 * b
@@ -241,27 +242,22 @@ def predicted_log10_pre_norm_ratio(f, q, n1, n2):
 # ---------------------------------------------------------------------------
 
 def ladder_scalar(f, q, n_max):
-    """(diag, off) element by element, two f evaluations per element.
-
-    An OverflowError from f propagates; the kernel maps it to inf.
-    """
-    def squared(k):
-        v = f(k)
-        return v * v
-
+    """(diag, off) element by element, two f values per element; an
+    overflowing f value is inf, as ``values`` gives it."""
     a = abs(q)
+    fv = f.values(n_max + a + 2)
     diag = np.empty(n_max + 1)
     off = np.zeros(n_max + 2)
     if q >= 0:
         for n in range(n_max + 1):
-            diag[n] = (n + q + 1) * squared(n + q + 1) + n * squared(n)
+            diag[n] = (n + q + 1) * (fv[n + q + 1] * fv[n + q + 1]) + n * (fv[n] * fv[n])
         for n in range(1, n_max + 2):
-            off[n] = math.sqrt((n + q) * n) * f(n + q) * f(n)
+            off[n] = math.sqrt((n + q) * n) * fv[n + q] * fv[n]
     else:
         for n in range(n_max + 1):
-            diag[n] = (n + 1) * squared(n + 1) + (n + a) * squared(n + a)
+            diag[n] = (n + 1) * (fv[n + 1] * fv[n + 1]) + (n + a) * (fv[n + a] * fv[n + a])
         for n in range(1, n_max + 2):
-            off[n] = math.sqrt(n * (n + a)) * f(n) * f(n + a)
+            off[n] = math.sqrt(n * (n + a)) * fv[n] * fv[n + a]
     return diag, off
 
 

@@ -144,6 +144,13 @@ class TestBuild:
                            "--xi", "nan", "--nmax", "10")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("xi", ["1,2,3", "abc"])
+    def test_malformed_xi_exits_1(self, capsys, xi):
+        code, out, err = run(capsys, "build", "--f", "unity", "--q", "1",
+                             "--xi", xi, "--nmax", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: --xi expects")
+
     def test_complex_xi_and_file_output(self, capsys, tmp_path):
         target = tmp_path / "state.json"
         code, out, _ = run(capsys, "build", "--f", "qdef:7", "--q", "-2",
@@ -192,6 +199,14 @@ class TestSweep:
                            "--q", "1", "--xi-start", "1", "--xi-end", "inf",
                            "--steps", "3", "--nmax", "10")
         assert code == 1 and out == ""
+
+    def test_steps_beyond_ceiling_exits_1(self, capsys):
+        # refused before the xi list and the CSV lines (some 720 GB here) are built
+        code, out, err = run(capsys, "sweep", "--diagnostic", "g2_a", "--f", "unity",
+                             "--q", "1", "--xi-start", "1", "--xi-end", "10",
+                             "--steps", "4000000000", "--nmax", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: sweep of 4000000000 steps exceeds")
 
     def test_undefined_rows_carry_empty_value(self, capsys):
         # mode b is empty on the whole q >= 0 ladder only for the bare ket;
@@ -395,6 +410,9 @@ class TestSweepSpec:
             SweepSpec("g2_a", 1.0, 10.0, 1, "unity", 1)
         with pytest.raises(PreconditionError):
             SweepSpec("g2_a", 10.0, 1.0, 5, "unity", 1)
+        SweepSpec("g2_a", 1.0, 10.0, cli.MAX_SWEEP_STEPS, "unity", 1)
+        with pytest.raises(PreconditionError):
+            SweepSpec("g2_a", 1.0, 10.0, cli.MAX_SWEEP_STEPS + 1, "unity", 1)
         with pytest.raises(PreconditionError):
             SweepSpec("g2_a", 1.0, 10.0, 5, "unity", 1, n_max=0)
         with pytest.raises(SpecParseError):

@@ -8,7 +8,7 @@ import pytest
 
 from chargestate import husimi
 from chargestate.errors import PreconditionError
-from chargestate.husimi import husimi_grid, husimi_norm_check, husimi_point
+from chargestate.husimi import HusimiGrid, husimi_grid, husimi_norm_check, husimi_point
 from chargestate.nonlinearity import intensity_sqrt, parse_spec, penson_solomon, q_deformed, unity
 from chargestate.states import ChargeState, TruncationPolicy, build_deformed
 
@@ -147,6 +147,8 @@ class TestHusimiGrid:
         state = vacuum_state()
         with pytest.raises(PreconditionError):
             husimi_grid(state, 0j, (-1.0, 1.0, 1), (-1.0, 1.0, 3))
+        with pytest.raises(PreconditionError, match="values length"):
+            HusimiGrid(0j, (-1.0, 1.0, 2), (-1.0, 1.0, 2), np.zeros(3))
 
 
 class TestNormCheck:

@@ -1,5 +1,6 @@
 """Property tests over the deformation catalog: finite-or-fail, correct
-(interior residual and continued-fraction ratio) and document round trip."""
+(interior residual, continued-fraction ratio and, on short ladders, dense
+operator moments) and document round trip."""
 
 import dataclasses
 import json
@@ -8,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargestate.diagnostics import moments
 from chargestate.errors import ChargeStateError, ContinuedFractionPoleError
 from chargestate.nonlinearity import parse_spec
 from chargestate.states import (
@@ -19,6 +21,8 @@ from chargestate.states import (
     state_from_document,
     state_to_document,
 )
+
+from _oracles import TwoModeSpace
 
 SPECS = st.one_of(
     st.sampled_from(["unity", "sqrt", "ps:0.5", "qdef:7"]),
@@ -73,6 +77,20 @@ def check_ratio(f, state, k):
     assert abs(r * c[k - 1] - c[k]) <= RATIO_TOL * scale * max(1.0, abs(r)) + 1e-300
 
 
+def check_dense_moments(f, state):
+    """Every moment against its dense two-mode operator expectation, with the
+    fixed dense test's rule (abs 1e-10)."""
+    dim = state.n_max + abs(state.q) + 2
+    space = TwoModeSpace(dim, dim, f)
+    psi = space.embed(state)
+    a, b, na, nb = space.a_plain, space.b_plain, space.na, space.nb
+    ops = {"mean_na": na, "mean_na2": na @ na, "mean_nb": nb, "mean_nb2": nb @ nb,
+           "aa_corr": a.T @ a.T @ a @ a, "bb_corr": b.T @ b.T @ b @ b, "cross": na @ nb}
+    got = moments(state)
+    for name, op in ops.items():
+        assert abs(getattr(got, name) - space.expect(op, psi)) <= 1e-10, name
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(spec=SPECS, q=st.integers(-4, 4), xi=XI, n_max=st.integers(0, 800), data=st.data())
 def test_finite_state_or_typed_error(spec, q, xi, n_max, data):
@@ -87,6 +105,8 @@ def test_finite_state_or_typed_error(spec, q, xi, n_max, data):
     assert max_relative_interior_residual(f, state) <= RESIDUAL_TOL
     if n_max >= 1:
         check_ratio(f, state, data.draw(st.integers(1, min(48, n_max)), label="depth"))
+    if n_max <= 8:  # short enough for the dense two-mode oracle
+        check_dense_moments(f, state)
     again = state_from_document(json.loads(json.dumps(state_to_document(state), allow_nan=False)))
     for field in dataclasses.fields(ChargeState):
         want, got = getattr(state, field.name), getattr(again, field.name)

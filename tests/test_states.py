@@ -1,5 +1,6 @@
 """Tests for state construction, cross-validation paths, and reporting."""
 
+import dataclasses
 import json
 import math
 
@@ -20,8 +21,6 @@ from chargestate.states import (
     ChargeState,
     TruncationPolicy,
     _recursion_states,
-    apply_tridiagonal,
-    branch_for_charge,
     build_deformed,
     build_hermite_reference,
     build_linear_closed,
@@ -103,6 +102,10 @@ class TestBuildDeformed:
         with pytest.raises(ZeroDenominatorError) as err:
             build_deformed(_ZeroAtTwo(), 0, 1.0, TruncationPolicy(5))
         assert err.value.index == 2
+        # at xi = 1 the fraction's pole at depth 1 comes first
+        with pytest.raises(ZeroDenominatorError) as err:
+            continued_fraction_ratio(_ZeroAtTwo(), 0, 5.0, 2)
+        assert err.value.index == 2
 
     def test_ladder_overflow_guard(self):
         with pytest.raises(LadderOverflowError):
@@ -123,9 +126,22 @@ class TestBuildDeformed:
         assert math.isfinite(state.log_pre_norm)
 
     def test_branch_assignment(self):
-        assert branch_for_charge(0) == "plus"
         assert build_deformed(unity(), 0, 2.0, TruncationPolicy(3)).branch == "plus"
         assert build_deformed(unity(), -2, 2.0, TruncationPolicy(3)).branch == "minus"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"branch": "up"}, "branch must be"),
+        ({"branch": "plus"}, "inconsistent with q=-2"),
+        ({"n_max": 4}, "coeffs length"),
+    ])
+    def test_inconsistent_fields_rejected(self, changes, message):
+        state = build_deformed(unity(), -2, 2.0, TruncationPolicy(3))
+        with pytest.raises(PreconditionError, match=message):
+            dataclasses.replace(state, **changes)
+
+    def test_all_zero_raw_vector_rejected(self):
+        with pytest.raises(DegenerateStateError):
+            ChargeState.from_raw(0, 1.0, unity(), np.zeros(3))
 
     def test_mode_swap_symmetry_is_exact(self):
         # undeformed plus-branch at q equals minus-branch at -q, bit for bit
@@ -167,13 +183,9 @@ class TestLadderKernel:
     @pytest.mark.parametrize("q", range(-4, 5))
     def test_bit_identical_to_scalar_reference(self, f, q):
         for n_max in (0, 1, 3, 40, 80, 320, 640):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    diag, off = ladder_scalar(f, q, n_max)
-                finite = _first_non_finite(diag, off) is None
-            except OverflowError:
-                finite = False
-            if not finite:
+            with np.errstate(over="ignore", invalid="ignore"):
+                diag, off = ladder_scalar(f, q, n_max)
+            if _first_non_finite(diag, off) is not None:
                 with pytest.raises(LadderOverflowError):
                     ladder_elements(f, q, n_max)
                 continue
@@ -315,6 +327,11 @@ class TestLinearClosedForm:
         scale = np.abs(ref).max()
         assert np.max(np.abs(got - ref)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("xi", [math.nan, complex(1.0, math.inf)])
+    def test_non_finite_xi_rejected(self, xi):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            build_linear_closed(1, xi, TruncationPolicy(5))
+
     def test_complex_xi_supported(self):
         a = build_linear_closed(1, 2.5 - 1.5j, TruncationPolicy(35))
         b = build_deformed(unity(), 1, 2.5 - 1.5j, TruncationPolicy(35))
@@ -382,37 +399,14 @@ class TestHermiteReference:
 
 class TestTridiagonalAction:
     def test_single_ket_q2(self):
-        state = ChargeState.from_raw(2, 0.0, unity(), np.array([1.0, 0.0], dtype=complex))
-        image, leakage = apply_tridiagonal(unity(), state)
-        assert image[0] == pytest.approx(3.0)
-        assert image[1] == pytest.approx(math.sqrt(3.0))
-        assert leakage == 0.0
+        # the |2, 0> ket: diagonal 3 f(3)^2 and coupling sqrt(3) f(3) f(1) to |3, 1>
+        diag, off = ladder_elements(unity(), 2, 1)
+        assert diag[0] == pytest.approx(3.0)
+        assert off[1] == pytest.approx(math.sqrt(3.0))
 
     def test_unity_q0_diagonal(self):
         diag, _ = ladder_elements(unity(), 0, 20)
         assert np.allclose(diag, 2 * np.arange(21) + 1)
-
-    def test_action_is_linear(self):
-        rng = np.random.default_rng(5)
-        u = rng.normal(size=13) + 1j * rng.normal(size=13)
-        v = rng.normal(size=13) + 1j * rng.normal(size=13)
-        f = penson_solomon(0.5)
-
-        def image_of(vec):
-            st = ChargeState.from_raw(-1, 0.0, f, vec)
-            img, _ = apply_tridiagonal(f, st)
-            return img * np.linalg.norm(vec)
-
-        lhs = image_of(u + 2j * v)
-        rhs = image_of(u) + 2j * image_of(v)
-        assert np.allclose(lhs, rhs, rtol=1e-12)
-
-    def test_leakage_matches_boundary_row(self):
-        f = q_deformed(7.0)
-        state = build_deformed(f, -2, 5.0, TruncationPolicy(12))
-        _, leakage = apply_tridiagonal(f, state)
-        rows = eigen_residual(f, state)
-        assert rows[-1] == pytest.approx(leakage, rel=1e-9)
 
 
 class TestEigenResidual:
@@ -451,6 +445,30 @@ class TestEigenResidual:
         state = build_deformed(unity(), 0, 2.0, TruncationPolicy(1))
         with pytest.raises(PreconditionError):
             eigen_residual(unity(), state)
+
+
+class TestTruncatedMatrixOracle:
+    """At an eigenvalue of the leading block of T, the built state is that
+    block's eigenvector (numpy.linalg.eigh) and the boundary row vanishes.
+
+    Only unity and sqrt: for ps and qdef the forward recursion at a block
+    eigenvalue is ill-conditioned from n_max 8 on (boundary row up to 1e-3 of
+    |T|, collinearity lost by n_max 16-40), while the interior rows stay at
+    round-off."""
+
+    @pytest.mark.parametrize("f", [unity(), intensity_sqrt()], ids=lambda f: f.label())
+    @pytest.mark.parametrize("q", range(-3, 5))
+    def test_state_at_block_eigenvalue_is_its_eigenvector(self, f, q):
+        for n_max in (4, 8, 16, 24, 40):
+            diag, off = ladder_elements(f, q, n_max)
+            inner = off[1 : n_max + 1]
+            block = np.diag(diag) + np.diag(inner, 1) + np.diag(inner, -1)
+            norm = np.abs(block).sum(axis=1).max()
+            lams, vecs = np.linalg.eigh(block)
+            for k, lam in enumerate(lams):
+                state = build_deformed(f, q, lam, TruncationPolicy(n_max))
+                assert 1 - abs(np.vdot(vecs[:, k], state.coeffs)) <= 1e-13, (n_max, k)
+                assert eigen_residual(f, state)[-1] <= 1e-13 * norm, (n_max, k)
 
 
 class TestConvergenceReport:
