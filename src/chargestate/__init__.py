@@ -22,7 +22,6 @@ from .errors import (
     ParameterRangeError,
     PreconditionError,
     SpecParseError,
-    ZeroDenominatorError,
 )
 from .husimi import HusimiGrid, husimi_grid, husimi_norm_check, husimi_point
 from .nonlinearity import (

@@ -75,13 +75,15 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.diagnostic not in SWEEP_DIAGNOSTICS:
-            raise SpecParseError(self.diagnostic, f"unknown diagnostic {self.diagnostic!r}")
+            raise SpecParseError(f"unknown diagnostic {self.diagnostic!r}")
         if self.steps < 2:
             raise PreconditionError("sweep needs steps >= 2")
         if self.steps > MAX_SWEEP_STEPS:
             raise PreconditionError(f"sweep of {self.steps} steps exceeds {MAX_SWEEP_STEPS}")
         if not (math.isfinite(self.xi_start) and math.isfinite(self.xi_end)):
             raise PreconditionError("sweep needs a finite xi range")
+        if not math.isfinite(self.xi_end - self.xi_start):
+            raise PreconditionError("sweep needs an xi span within double range")
         if not self.xi_start < self.xi_end:
             raise PreconditionError("sweep needs xi_start < xi_end")
         if self.n_max < 1:
@@ -104,14 +106,14 @@ class _Parser(argparse.ArgumentParser):
 def _parse_complex_pair(text: str, flag: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
-        raise SpecParseError(text, f"{flag} expects re[,im], got {text!r}")
+        raise SpecParseError(f"{flag} expects re[,im], got {text!r}")
     try:
         re = float(parts[0])
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
-        raise SpecParseError(text, f"{flag} expects decimal re[,im], got {text!r}") from None
+        raise SpecParseError(f"{flag} expects decimal re[,im], got {text!r}") from None
     if not (math.isfinite(re) and math.isfinite(im)):
-        raise SpecParseError(text, f"{flag} expects finite re[,im], got {text!r}")
+        raise SpecParseError(f"{flag} expects finite re[,im], got {text!r}")
     return complex(re, im)
 
 

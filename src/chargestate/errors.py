@@ -13,10 +13,6 @@ class ChargeStateError(Exception):
 class SpecParseError(ChargeStateError, ValueError):
     """A nonlinearity spec string does not match the grammar."""
 
-    def __init__(self, token, message=None):
-        self.token = token
-        super().__init__(message or f"unrecognized nonlinearity spec token: {token!r}")
-
 
 class ParameterRangeError(ChargeStateError, ValueError):
     """A nonlinearity parameter lies outside its admissible range."""
@@ -24,14 +20,6 @@ class ParameterRangeError(ChargeStateError, ValueError):
 
 class PreconditionError(ChargeStateError, ValueError):
     """An operation was called with arguments violating its preconditions."""
-
-
-class ZeroDenominatorError(ChargeStateError, ArithmeticError):
-    """The recursion denominator vanished at some ladder index."""
-
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"vanishing recursion denominator at ladder index {index}")
 
 
 class ContinuedFractionPoleError(ChargeStateError, ArithmeticError):

@@ -202,6 +202,8 @@ def husimi_grid(
         raise PreconditionError(f"grid of {nx} x {ny} nodes exceeds {MAX_GRID_NODES} nodes")
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
         raise PreconditionError("grid range bounds must be finite")
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise PreconditionError("grid range spans must lie within double range")
     alpha1 = np.add.outer(np.linspace(x0, x1, nx), 1j * np.linspace(y0, y1, ny)).ravel()
     alpha2 = complex(alpha2)
     values = _q_values(state, alpha1, np.full(nx * ny, alpha2))

@@ -50,7 +50,11 @@ class NonlinearityFunction:
             # sqrt((q^n - q^-n) / (n (q - 1/q))), written through sinh so the
             # q -> 1 limit is approached smoothly; f(0) is the limit value 1
             ell = math.log(qq)
-            sinh_ell = math.sinh(ell)
+            try:
+                sinh_ell = math.sinh(ell)
+            except OverflowError:  # qq below about 2.8e-309
+                raise ParameterRangeError(f"q_deformed requires sinh(log qq) within double "
+                                          f"range, got qq={qq}") from None
             formula = lambda n: math.sqrt(math.sinh(n * ell) / (n * sinh_ell)) if n else 1.0
         else:
             raise ParameterRangeError(f"unknown nonlinearity kind {self.kind!r}")
@@ -111,6 +115,6 @@ def parse_spec(text: str) -> NonlinearityFunction:
             try:
                 value = float(arg)
             except ValueError:
-                raise SpecParseError(arg, f"invalid decimal parameter {arg!r} in {token!r}") from None
+                raise SpecParseError(f"invalid decimal parameter {arg!r} in {token!r}") from None
             return factory(value)
-    raise SpecParseError(token)
+    raise SpecParseError(f"unrecognized nonlinearity spec token: {token!r}")

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateStateError,
     LadderOverflowError,
     PreconditionError,
-    ZeroDenominatorError,
 )
 
 PLUS = "plus"
@@ -149,10 +148,12 @@ def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
     of the truncation window is available).  With (n_a, n_b) the occupations
     of index n, diag[n] = (n_a+1) f(n_a+1)^2 + n_b f(n_b)^2 and
     offdiag[n+1] = sqrt((n_a+1)(n_b+1)) f(n_a+1) f(n_b+1), in that operation
-    order, from ``f.values``.  If any element is not finite,
-    LadderOverflowError names the lowest ladder index n at which diag[n] or
-    offdiag[n] is not, which is the same for every cutoff that reaches it.
-    More than MAX_OCCUPATIONS occupations raise PreconditionError.
+    order, from ``f.values``.  Every catalog f has f(1) = 1 and, up to
+    rounding, f(n) >= 1 beyond, so offdiag[1:] >= 1 and the recursion never
+    divides by zero.  If any element is not finite, LadderOverflowError names
+    the lowest ladder index n at which diag[n] or offdiag[n] is not, which is
+    the same for every cutoff that reaches it.  More than MAX_OCCUPATIONS
+    occupations raise PreconditionError.
     """
     lo, hi = _occupation_offsets(q)
     count = n_max + lo + hi + 2
@@ -185,11 +186,10 @@ def _recursion_states(
     writes its last coefficient and before any later rescale, is
     bit-identical to a separate build at that cutoff.
     """
+    if not (math.isfinite(xi.real) and math.isfinite(xi.imag)):
+        raise PreconditionError(f"non-finite coordinate {xi!r}")
     n_max = cutoffs[-1]
     diag, off = ladder_elements(f, q, n_max)
-    zero = np.flatnonzero(off[1 : n_max + 1] == 0.0)
-    if zero.size:
-        raise ZeroDenominatorError(int(zero[0]) + 1)
     c = np.zeros(n_max + 1, dtype=complex)
     c[0] = cur = 1.0 + 0.0j
     below = 0.0j
@@ -233,7 +233,7 @@ def build_deformed(
     Seeds are c_{-1} = 0, c_0 = 1; the vector is globally normalized
     afterwards, which fixes the free bottom coefficient.  The whole vector is
     rescaled whenever a coefficient exceeds RESCALE_LIMIT (counted in
-    ``rescale_count``).
+    ``rescale_count``).  A non-finite xi raises PreconditionError.
     """
     return _recursion_states(f, q, complex(xi), (trunc.n_max,))[0]
 
@@ -245,11 +245,14 @@ def continued_fraction_ratio(
 
     The fraction terminates at the level containing xi minus the bottom
     diagonal entry; an exactly-zero intermediate denominator raises
-    ContinuedFractionPoleError carrying the depth at which it occurred.
+    ContinuedFractionPoleError carrying the depth at which it occurred, and a
+    non-finite xi PreconditionError.
     """
     if n < 1:
         raise PreconditionError("continued_fraction_ratio requires n >= 1")
     xi = complex(xi)
+    if not (math.isfinite(xi.real) and math.isfinite(xi.imag)):
+        raise PreconditionError(f"non-finite coordinate {xi!r}")
     diag, off = (v.tolist() for v in ladder_elements(f, q, n))
     d = xi - diag[0]
     for j in range(2, n + 1):
@@ -257,10 +260,7 @@ def continued_fraction_ratio(
             raise ContinuedFractionPoleError(j - 1)
         t = off[j - 1]
         d = (xi - diag[j - 1]) - t * t / d
-    t_n = off[n]
-    if t_n == 0.0:
-        raise ZeroDenominatorError(n)
-    return d / t_n
+    return d / off[n]
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +281,6 @@ def _split_binary(x: float):
         raise PreconditionError(f"non-finite coordinate {x!r}") from None
     e = d.bit_length() - 1
     return m, e
-
-
-def _bigint_to_float(v: int, shift: int) -> float:
-    """Approximate v / 2**shift without overflowing intermediate floats."""
-    if v == 0:
-        return 0.0
-    bl = v.bit_length()
-    drop = max(bl - 64, 0)
-    return math.ldexp(float(v >> drop) if v > 0 else -float((-v) >> drop), drop - shift)
 
 
 def _exact_alternating_sum_log(n: int, a: int, xi: complex):
@@ -323,8 +314,7 @@ def _exact_alternating_sum_log(n: int, a: int, xi: complex):
         return math.log(abs(ar)) - n * ee * math.log(2.0), (0.0 if ar > 0 else math.pi)
     bl = max(abs(ar).bit_length(), abs(ai).bit_length())
     drop = max(bl - 64, 0)
-    fr = _bigint_to_float(ar, drop)
-    fi = _bigint_to_float(ai, drop)
+    fr, fi = ar / (1 << drop), ai / (1 << drop)  # int true division rounds correctly
     log_abs = 0.5 * math.log(fr * fr + fi * fi) + (drop - n * ee) * math.log(2.0)
     return log_abs, math.atan2(fi, fr)
 
@@ -570,9 +560,11 @@ def state_to_document(state: ChargeState) -> dict:
 
 
 def state_from_document(doc: dict) -> ChargeState:
+    """Inverse of state_to_document.  A document holding a non-finite number,
+    or a norm error above 1e-9 (the benchmark gate's), raises PreconditionError."""
     f_spec = nl.NonlinearityFunction(doc["f"]["name"], doc["f"]["params"])
     coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-    return ChargeState(
+    state = ChargeState(
         q=int(doc["q"]),
         xi=complex(doc["xi"][0], doc["xi"][1]),
         f_spec=f_spec,
@@ -583,3 +575,9 @@ def state_from_document(doc: dict) -> ChargeState:
         log_pre_norm=float(doc["log_pre_norm"]),
         rescale_count=int(doc["rescale_count"]),
     )
+    error = state.norm_error()  # NaN or inf for a non-finite coefficient
+    numbers = [state.xi, state.log_pre_norm, doc["pre_norm"] or 0.0]  # null pre_norm: overflowed
+    if not (error <= 1e-9 and np.isfinite(numbers).all()):
+        raise PreconditionError(f"state document needs finite numbers and a norm error "
+                                f"<= 1e-9, got norm error {error:.3g}")
+    return state

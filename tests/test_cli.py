@@ -1,10 +1,16 @@
 """Tests for the command-line interface: flags, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargestate import cli
 from chargestate.cli import SweepSpec, main
@@ -16,8 +22,9 @@ from chargestate.errors import (
     ParameterRangeError,
     PreconditionError,
     SpecParseError,
-    ZeroDenominatorError,
 )
+from chargestate.husimi import MAX_GRID_NODES
+from chargestate.states import MAX_OCCUPATIONS
 
 
 def run(capsys, *argv):
@@ -40,7 +47,6 @@ ERRORS_AND_CODES = [
     (SpecParseError("tok"), 1),
     (ParameterRangeError("range"), 1),
     (PreconditionError("precondition"), 1),
-    (ZeroDenominatorError(3), 2),
     (ContinuedFractionPoleError(4), 2),
     (DegenerateStateError("degenerate"), 2),
     (LadderOverflowError(5), 2),
@@ -132,7 +138,7 @@ class TestBuild:
         assert doc["pre_norm"] is None
         assert math.log(sys.float_info.max) < doc["log_pre_norm"] < math.inf
 
-    @pytest.mark.parametrize("spec", ["qdef:nan", "qdef:inf"])
+    @pytest.mark.parametrize("spec", ["qdef:nan", "qdef:inf", "qdef:1e-310", "qdef:5e-324"])
     def test_non_finite_deformation_parameter_exits_1(self, capsys, spec):
         code, out, err = run(capsys, "build", "--f", spec, "--q", "1",
                              "--xi", "5", "--nmax", "10")
@@ -199,6 +205,14 @@ class TestSweep:
                            "--q", "1", "--xi-start", "1", "--xi-end", "inf",
                            "--steps", "3", "--nmax", "10")
         assert code == 1 and out == ""
+
+    def test_overflowing_span_exits_1(self, capsys):
+        # both ends finite, but xi_end - xi_start is beyond double range
+        code, out, err = run(capsys, "sweep", "--diagnostic", "g2_a", "--f", "unity",
+                             "--q", "1", "--xi-start=-1e308", "--xi-end", "1e308",
+                             "--steps", "3", "--nmax", "10")
+        assert code == 1 and out == ""
+        assert err == "chargestate: error: sweep needs an xi span within double range\n"
 
     def test_steps_beyond_ceiling_exits_1(self, capsys):
         # refused before the xi list and the CSV lines (some 720 GB here) are built
@@ -287,6 +301,13 @@ class TestHusimiCmd:
                              "--grid", "2", "--nmax", "10")
         assert code == 1 and out == ""
         assert "finite" in err
+
+    def test_overflowing_span_exits_1(self, capsys):
+        code, out, err = run(capsys, "husimi", "--f", "unity", "--q", "1", "--xi", "5",
+                             "--alpha2", "1,1", "--xmin=-1.7e308", "--xmax", "1.7e308",
+                             "--ymin", "-1", "--ymax", "1", "--grid", "3", "--nmax", "10")
+        assert code == 1 and out == ""
+        assert err == "chargestate: error: grid range spans must lie within double range\n"
 
     def test_grid_beyond_node_ceiling_exits_1(self, capsys):
         # refused before the node arrays (14.6 TiB here) are allocated
@@ -426,3 +447,119 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+# The input contract over argv: every command ends in exit 0, 1 or 2, with no
+# traceback or warning, and what it emits parses with finite numbers.  Each
+# group of flags takes ordinary values or, for at most two groups per argv,
+# extreme or malformed ones.
+EXTREME = st.sampled_from(["0", "-3", "1e308", "-1e308", "1.7e308", "-1.7e308", "5e-324",
+                           "-5e-324", "nan", "inf", "-inf", "abc", "", "1e", "2,"])
+# a range may also span the whole double range: both ends finite, the width not
+BAD_RANGE = st.one_of(st.tuples(EXTREME, EXTREME),
+                      st.sampled_from(["1e308", "1.7e308"]).map(lambda m: ("-" + m, m)))
+PAIR = st.one_of(st.floats(-12.0, 12.0).map(repr),
+                 st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)).map("%r,%r".__mod__))
+BAD_PAIR = st.one_of(EXTREME, st.tuples(EXTREME, EXTREME).map(",".join), st.just("1,2,3"))
+SPEC = st.one_of(st.sampled_from(["unity", "sqrt", "ps:0.5", "qdef:7"]),
+                 st.floats(0.05, 1.0).map("ps:%r".__mod__),
+                 st.floats(0.2, 10.0).filter(lambda qq: qq != 1.0).map("qdef:%r".__mod__))
+# a deformation parameter may also be subnormal
+BAD_SPEC = st.one_of(st.sampled_from(["gauss", "ps:"]),
+                     st.tuples(st.sampled_from(["ps:", "qdef:"]),
+                               st.one_of(EXTREME, st.sampled_from(["1e-310", "5e-324"]))
+                               ).map("".join))
+# Counts out of range: small, or refused by a work ceiling before allocating.
+# n_max at MAX_OCCUPATIONS is refused by the ladder's occupation count; the
+# sweep-step and grid ceilings accept their own value, so one above is drawn.
+# An accepted count never exceeds n_max 200, steps 8 or grid 8.
+BAD_NMAX = st.sampled_from([-1, MAX_OCCUPATIONS, MAX_OCCUPATIONS + 1, 2**31])
+BAD_STEPS = st.sampled_from([-1, 0, 1, cli.MAX_SWEEP_STEPS + 1, 2**31])
+BAD_GRID = st.sampled_from([-1, 0, 1, math.isqrt(MAX_GRID_NODES) + 1, 2**31])
+BAD_CHARGE = st.sampled_from([MAX_OCCUPATIONS, -MAX_OCCUPATIONS, 2**31, -2**31])
+
+
+def _flag(name, good, bad):
+    """(flags, ordinary values, extreme values) of a group of one flag."""
+    return (name,), good.map(lambda v: (v,)), bad.map(lambda v: (v,))
+
+
+def _range(low, high, good):
+    """The same for a low and a high flag drawn together as one range."""
+    return (low, high), st.tuples(good, good), BAD_RANGE
+
+
+@st.composite
+def _argv(draw, command, *groups):
+    """argv of one command from flag groups, values in attached form."""
+    extreme = draw(st.sets(st.sampled_from(range(len(groups))), max_size=2))
+    argv = [command]
+    for i, (names, good, bad) in enumerate(groups):
+        argv += [f"{name}={v}" for name, v in zip(names, draw(bad if i in extreme else good))]
+    return argv
+
+
+SPEC_AND_CHARGE = (_flag("--f", SPEC, BAD_SPEC), _flag("--q", st.integers(-4, 4), BAD_CHARGE))
+XI = _flag("--xi", PAIR, BAD_PAIR)
+NMAX = _flag("--nmax", st.integers(0, 200), BAD_NMAX)
+COORD = st.floats(-6.0, 6.0).map(repr)
+COMMANDS = st.one_of(
+    _argv("build", *SPEC_AND_CHARGE, XI, NMAX),
+    _argv("pnd", *SPEC_AND_CHARGE, XI, NMAX),
+    _argv("sweep", _flag("--diagnostic", st.sampled_from(cli.SWEEP_DIAGNOSTICS),
+                         st.just("entropy")),
+          *SPEC_AND_CHARGE, _range("--xi-start", "--xi-end", COORD),
+          _flag("--steps", st.integers(2, 8), BAD_STEPS), NMAX),
+    _argv("husimi", *SPEC_AND_CHARGE, XI, _flag("--alpha2", PAIR, BAD_PAIR),
+          _range("--xmin", "--xmax", COORD), _range("--ymin", "--ymax", COORD),
+          _flag("--grid", st.integers(2, 8), BAD_GRID), NMAX),
+    _argv("verify", *SPEC_AND_CHARGE, XI, _flag("--nmax", st.integers(3, 100), BAD_NMAX),
+          _flag("--nmax2", st.integers(4, 200), BAD_NMAX)),
+)
+
+
+def run_clean(argv):
+    """Exit code and stdout of main(argv), run in-process, with its stderr
+    checked for a traceback or a warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    return code, out.getvalue()
+
+
+def check_emitted(name, text):
+    """JSON with no NaN or Infinity, or CSV whose every field is a finite number."""
+    if name.endswith("json"):
+        strict_json(text)
+        return
+    header, *rows = text.splitlines()
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == header.count(",") + 1
+        assert all(math.isfinite(float(v)) for v in fields if v)  # "" is an undefined value
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=COMMANDS)
+def test_every_argv_exits_cleanly(argv):
+    code, out = run_clean(argv)
+    if code:
+        assert out == ""
+    else:
+        check_emitted("json" if argv[0] in ("build", "verify") else "csv", out)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(argv=_argv("figures", _flag("--nmax", st.integers(3, 40), BAD_NMAX),
+                  _flag("--steps", st.integers(2, 8), BAD_STEPS),
+                  _flag("--grid", st.integers(2, 8), BAD_GRID)))
+def test_figures_argv_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as outdir:
+        code, out = run_clean([*argv, f"--outdir={outdir}"])
+        assert out == ""
+        written = list(Path(outdir).iterdir())
+        assert code or len(written) == 44
+        for path in written:
+            check_emitted(path.name, path.read_text())

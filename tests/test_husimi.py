@@ -223,7 +223,8 @@ class TestNonFiniteInput:
         lambda s: husimi_grid(s, math.nan, (-1.0, 1.0, 3), (-1.0, 1.0, 3)),
         lambda s: husimi_grid(s, 1j, (-1.0, math.inf, 3), (-1.0, 1.0, 3)),
         lambda s: husimi_norm_check(s, 10_000, math.nan),
-    ], ids=["point-alpha1", "grid-alpha2", "grid-range", "norm-radius"])
+        lambda s: husimi_grid(s, 1j, (-1.0, 1.0, 3), (-1.7e308, 1.7e308, 3)),
+    ], ids=["point-alpha1", "grid-alpha2", "grid-range", "norm-radius", "grid-span"])
     def test_rejected(self, call):
         state = build_deformed(unity(), 1, 5.0, TruncationPolicy(10))
         with pytest.raises(PreconditionError):

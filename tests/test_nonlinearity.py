@@ -37,7 +37,7 @@ def test_penson_parameter_range():
 def test_qdeformed_parameter_range():
     q_deformed(0.2)
     q_deformed(7.0)
-    for bad in (0.0, -1.0, 1.0):
+    for bad in (0.0, -1.0, 1.0, 1e-310, 5e-324):  # the last two: sinh(log qq) overflows
         with pytest.raises(ParameterRangeError):
             q_deformed(bad)
 

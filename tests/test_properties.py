@@ -101,6 +101,7 @@ def test_finite_state_or_typed_error(spec, q, xi, n_max, data):
         assert isinstance(exc, ArithmeticError)
         return
     assert np.isfinite(state.coeffs).all() and np.isfinite(state.log_pre_norm)
+    assert ladder_elements(f, q, n_max)[1][1:].min() >= 1.0  # no recursion division by 0
     assert state.norm_error() <= 1e-12
     assert max_relative_interior_residual(f, state) <= RESIDUAL_TOL
     if n_max >= 1:

@@ -12,7 +12,6 @@ from chargestate.errors import (
     DegenerateStateError,
     LadderOverflowError,
     PreconditionError,
-    ZeroDenominatorError,
 )
 from chargestate.nonlinearity import intensity_sqrt, penson_solomon, q_deformed, unity
 from chargestate.states import (
@@ -43,16 +42,6 @@ from _oracles import (
 )
 
 CATALOG = [unity(), penson_solomon(0.5), intensity_sqrt(), q_deformed(7.0)]
-
-
-class _ZeroAtTwo:
-    """Stub deformation vanishing at n = 2, for the denominator guard."""
-
-    kind = "stub"
-    params = {}
-
-    def values(self, count):
-        return [0.0 if n == 2 else 1.0 for n in range(count)]
 
 
 class TestTruncationPolicy:
@@ -98,14 +87,15 @@ class TestBuildDeformed:
         state = build_deformed(f, q, 5.0, TruncationPolicy(50))
         assert state.norm_error() <= 1e-12
 
-    def test_vanishing_denominator_names_index(self):
-        with pytest.raises(ZeroDenominatorError) as err:
-            build_deformed(_ZeroAtTwo(), 0, 1.0, TruncationPolicy(5))
-        assert err.value.index == 2
-        # at xi = 1 the fraction's pole at depth 1 comes first
-        with pytest.raises(ZeroDenominatorError) as err:
-            continued_fraction_ratio(_ZeroAtTwo(), 0, 5.0, 2)
-        assert err.value.index == 2
+    @pytest.mark.parametrize("call", [
+        lambda xi: build_deformed(unity(), 1, xi, TruncationPolicy(5)),
+        lambda xi: convergence_report(unity(), 1, xi, 5, 10),
+        lambda xi: continued_fraction_ratio(unity(), 1, xi, 3),
+    ], ids=["build", "convergence", "fraction"])
+    @pytest.mark.parametrize("xi", [math.nan, complex(1.0, math.inf), -math.inf])
+    def test_non_finite_xi_rejected(self, call, xi):
+        with pytest.raises(PreconditionError, match="non-finite coordinate"):
+            call(xi)
 
     def test_ladder_overflow_guard(self):
         with pytest.raises(LadderOverflowError):
@@ -232,6 +222,25 @@ class TestLadderKernel:
         with pytest.raises(LadderOverflowError) as err:
             ladder_elements(_Counted(unity(), overflow_from=7), 0, 20)
         assert err.value.index == 6
+
+    @pytest.mark.parametrize("f", [
+        *map(penson_solomon, (5e-324, 1e-300, 0.5, 1.0 - 2**-53, 1.0)),
+        # exp(+-5e-9): the rounded f(n) can fall 1 ulp below 1, the couplings cannot
+        *map(q_deformed, (math.exp(-700), 1e-308, math.exp(-5e-9), 1.0 - 2**-53,
+                          1.0 + 2**-52, math.exp(5e-9), 1e308, math.exp(700))),
+    ], ids=lambda f: f.label())
+    def test_couplings_at_least_one_at_extreme_parameters(self, f):
+        # the bound that keeps every recursion and continued-fraction division finite
+        checked = 0
+        for q in range(-4, 5):
+            for n_max in (0, 1, 3, 40, 2000):
+                try:
+                    _, off = ladder_elements(f, q, n_max)
+                except LadderOverflowError:
+                    continue
+                assert off[1:].min() >= 1.0, (q, n_max)
+                checked += 1
+        assert checked
 
     def test_convergence_coarse_state_matches_separate_build(self):
         f = penson_solomon(0.5)
@@ -539,3 +548,22 @@ class TestSerialization:
         again = state_from_document(json.loads(json.dumps(doc, allow_nan=False)))
         assert again.pre_norm == math.inf
         assert again.log_pre_norm == state.log_pre_norm
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("coeffs", 2, [math.nan, 0.0]),
+        ("coeffs", 0, [math.inf, 0.0]),
+        ("xi", 1, math.nan),
+        ("pre_norm", None, math.inf),
+        ("log_pre_norm", None, math.nan),
+        ("coeffs", slice(None), [[3.0, 0.0]] * 5),  # norm error 44
+        ("coeffs", slice(None), [[0.5, 0.0]] * 4 + [[0.0, 1e-4]]),  # norm error 1e-8
+    ], ids=["nan-coeff", "inf-coeff", "nan-xi", "inf-pre-norm", "nan-log-pre-norm",
+            "unnormalised", "norm-off"])
+    def test_corrupt_document_refused(self, key, index, value):
+        doc = state_to_document(build_deformed(unity(), 1, 5.0, TruncationPolicy(4)))
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index] = value
+        with pytest.raises(PreconditionError, match="state document"):
+            state_from_document(doc)
