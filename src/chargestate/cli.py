@@ -90,8 +90,10 @@ class SweepSpec:
             raise PreconditionError("sweep needs n_max >= 1")
 
     def xi_values(self):
+        # the last point is xi_end itself, since xi_start + (steps - 1) step can
+        # round past it, even beyond double range; no earlier point can
         step = (self.xi_end - self.xi_start) / (self.steps - 1)
-        return [self.xi_start + i * step for i in range(self.steps)]
+        return [self.xi_start + i * step for i in range(self.steps - 1)] + [self.xi_end]
 
 
 class _Parser(argparse.ArgumentParser):

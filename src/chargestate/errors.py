@@ -39,5 +39,7 @@ class LadderOverflowError(ChargeStateError, ArithmeticError):
 
     def __init__(self, index):
         self.index = index
+        advice = ("reduce n_max" if index else
+                  "no n_max avoids it; use a deformation parameter nearer 1")
         super().__init__(f"ladder matrix element or recursion coefficient overflowed "
-                         f"at index {index}; reduce n_max")
+                         f"at index {index}; {advice}")

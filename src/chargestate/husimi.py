@@ -1,14 +1,13 @@
 """Two-mode Husimi quasi-probability at points, on grids, and its norm check.
 
-All three evaluate one kernel over arrays of (alpha1, alpha2) nodes.  On a
+All three evaluate one kernel over blocks of (alpha1, alpha2) nodes.  On a
 fixed-charge ladder the coherent overlap is
 
     <alpha1, alpha2|psi> = w^|q| sum_n p_n z^n,   p_n = c_n / sqrt(n_a! n_b!),
 
 with z = conj(alpha1 alpha2) and w = conj(alpha1) for q >= 0, conj(alpha2)
 for q < 0.  The ladder is cut into segments of ``_SEGMENT`` coefficients,
-each divided by its largest |p_n|; this table depends on the state alone and
-is built once for the last state evaluated.  Every segment is summed in z by
+each divided by its largest |p_n|, and every segment is summed in z by
 Horner's scheme for a block of nodes at once.  The segment sums are combined
 in log-magnitude form, relative to the node's largest one (the per-node
 scale), their phases by Horner's scheme in (z/|z|)^_SEGMENT, and Q is one exp
@@ -16,12 +15,14 @@ of that scale plus 2 log|sum|, the Gaussian and |q| log|w|^2.  So nothing
 overflows and no significant term underflows, for any finite amplitudes and
 ladder length.
 
-The kernel, ``_polar_q_values``, takes each node in polar form: log|alpha1|,
-log|alpha2|, the phase z/|z| and |alpha1|^2 + |alpha2|^2.  ``_q_values`` is
-its Cartesian front for points and grids; the norm check forms the polar
-parts straight from its uniform draws.  Every step is elementwise over nodes
-or runs along one node's own column, so ``husimi_point`` equals the matching
-``husimi_grid`` node bit for bit.
+The kernel, ``_polar_q_values``, evaluates one block of ``_block_size`` nodes
+per call, each in polar form: log|alpha1|, log|alpha2|, the phase z/|z| and
+|alpha1|^2 + |alpha2|^2.  Its callers loop over the blocks and form a block's
+nodes only then, so no working array outgrows one block: ``husimi_grid`` from
+its axes through ``_q_values``, the Cartesian front whose one-node case is
+``husimi_point``, and the norm check from its uniform draws.  Every step is
+elementwise over nodes or along one node's own column, so a point equals its
+grid node bit for bit.
 
 The single 1/pi prefactor of the two-mode definition is kept as is; under it
 the phase-space integral of Q over all of C^2 is pi for any normalized state,
@@ -39,7 +40,7 @@ from .errors import PreconditionError
 from .states import ChargeState
 
 # Ladder coefficients per segment (a power of two), and the nodes x segments
-# evaluated at once, which bounds every working array.
+# of one kernel call (see _block_size), which bounds every working array.
 _SEGMENT = 16
 _BLOCK = 1 << 15
 # Weights below exp(-700) cannot change a double sum, and exp is slow there.
@@ -50,8 +51,8 @@ _LOG_Z_CAP = 46.0
 # log 0 where 0 * log 0 or a difference of two must stay defined.
 _LOG_ZERO = -1e300
 _FLOAT_MAX = np.finfo(float).max
-# Nodes per husimi_grid call (2048 x 2048): a larger grid is refused before
-# any allocation, since its node arrays alone would outgrow a modest machine.
+# Nodes per husimi_grid call (2048 x 2048), refused before any allocation: a
+# node costs its 8-byte value, and in the CLI some 220 bytes of CSV text.
 MAX_GRID_NODES = 1 << 22
 
 # The segment table of the last state evaluated, as (state, table).
@@ -122,52 +123,50 @@ def _segment_table(state: ChargeState) -> tuple[np.ndarray, np.ndarray, tuple]:
     return table
 
 
+def _block_size(state: ChargeState) -> int:
+    """Nodes per kernel call, for every caller: _BLOCK node-segments, counting a
+    ladder of under 4 segments as 4, since its ~20 per-node temporaries dominate."""
+    return max(1, _BLOCK // max(len(_segment_table(state)[0]), 4))
+
+
 def _polar_q_values(state: ChargeState, log_r: np.ndarray, u: np.ndarray,
                     gauss: np.ndarray) -> np.ndarray:
-    """Q at m nodes given in polar form: the one coherent-overlap kernel.
+    """Q at one block of m nodes in polar form: the one coherent-overlap kernel.
 
     ``log_r`` (2, m) holds log|alpha1| and log|alpha2|, at least _LOG_ZERO;
     ``u`` (1, m) is z / |z| for z = conj(alpha1 alpha2), 0 where z = 0; and
     ``gauss`` (m) is |alpha1|^2 + |alpha2|^2.
     """
     scale, start, columns = _segment_table(state)
-    count, width = len(scale), len(columns)
-    charge = abs(state.q)
-    log_w = log_r[0 if state.q > 0 else 1]
-    out = np.empty(len(gauss))
-    step = max(1, _BLOCK // count)
     # overflow to inf only where Q is 0, and log 0 = -inf is meant throughout
     with np.errstate(divide="ignore", over="ignore"):
-        for at in range(0, len(out), step):
-            # complex products only between 2-D arrays and into a new array:
-            # numpy rounds those alike for any m, but not one made in place
-            unit = u[:, at:at + step]
-            log_z = np.minimum(log_r[:1, at:at + step] + log_r[1:, at:at + step], _LOG_Z_CAP)
-            z = unit * np.exp(log_z)
-            if z.shape[1] == 1:  # a lone node: a product unbroadcast is faster, same bits
-                z = np.repeat(z, count, axis=0)
-            acc = np.repeat(columns[0], unit.shape[1], axis=1)
-            for column in columns[1:]:  # Horner's scheme, all segments at once
-                acc = acc * z
-                acc += column  # a sum rounds the same in place
-            mag = np.abs(acc)
-            log_seg = scale + start * log_z + np.log(mag)
-            top = log_seg.max(axis=0, keepdims=True, initial=_LOG_ZERO)
-            terms = _unit(acc, mag) * np.exp(np.maximum(log_seg - top, _LOG_FLOOR))
-            # the sum over segments k of terms[k] unit^(k width), by Horner's
-            # scheme in unit^width
-            power, total = unit, terms[-1:]
-            for _ in range(width.bit_length() - 1):
-                power = power * power
-            for row in terms[-2::-1]:
-                total = total * power + row
-            log_q = 2.0 * (top[0] + np.log(np.abs(total[0])) + charge * log_w[at:at + step])
-            out[at:at + step] = np.exp(log_q - gauss[at:at + step]) / math.pi
-    return out
+        # complex products only between 2-D arrays and into a new array:
+        # numpy rounds those alike for any m, but not one made in place
+        log_z = np.minimum(log_r[:1] + log_r[1:], _LOG_Z_CAP)
+        z = u * np.exp(log_z)
+        if z.shape[1] == 1:  # a lone node: a product unbroadcast is faster, same bits
+            z = np.repeat(z, len(scale), axis=0)
+        acc = np.repeat(columns[0], u.shape[1], axis=1)
+        for column in columns[1:]:  # Horner's scheme, all segments at once
+            acc = acc * z
+            acc += column  # a sum rounds the same in place
+        mag = np.abs(acc)
+        log_seg = scale + start * log_z + np.log(mag)
+        top = log_seg.max(axis=0, keepdims=True, initial=_LOG_ZERO)
+        terms = _unit(acc, mag) * np.exp(np.maximum(log_seg - top, _LOG_FLOOR))
+        # sum over segments k of terms[k] u^(k width), by Horner's scheme in u^width
+        power, total = u, terms[-1:]
+        for _ in range(len(columns).bit_length() - 1):
+            power = power * power
+        for row in terms[-2::-1]:
+            total = total * power + row
+        log_w = log_r[0 if state.q > 0 else 1]
+        log_q = 2.0 * (top[0] + np.log(np.abs(total[0])) + abs(state.q) * log_w)
+        return np.exp(log_q - gauss) / math.pi
 
 
 def _q_values(state: ChargeState, alpha1, alpha2) -> np.ndarray:
-    """Q at every node (alpha1[i], alpha2[i]): the kernel's Cartesian front."""
+    """Q at one block of nodes (alpha1[i], alpha2[i]): the kernel's Cartesian front."""
     amp = np.array([alpha1, alpha2], dtype=complex)
     if not np.isfinite(amp).all():
         raise PreconditionError("Husimi amplitudes must be finite")
@@ -204,9 +203,11 @@ def husimi_grid(
         raise PreconditionError("grid range bounds must be finite")
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         raise PreconditionError("grid range spans must lie within double range")
-    alpha1 = np.add.outer(np.linspace(x0, x1, nx), 1j * np.linspace(y0, y1, ny)).ravel()
-    alpha2 = complex(alpha2)
-    values = _q_values(state, alpha1, np.full(nx * ny, alpha2))
+    xs, iys, alpha2 = np.linspace(x0, x1, nx), 1j * np.linspace(y0, y1, ny), complex(alpha2)
+    values, step = np.empty(nx * ny), _block_size(state)
+    for at in range(0, len(values), step):
+        i = np.arange(at, min(at + step, len(values)))
+        values[at:at + step] = _q_values(state, xs[i // ny] + iys[i % ny], np.full(len(i), alpha2))
     return HusimiGrid(alpha2=alpha2, x_range=tuple(x_range), y_range=tuple(y_range), values=values)
 
 
@@ -224,18 +225,24 @@ def husimi_norm_check(
         raise PreconditionError("husimi_norm_check requires samples >= 10^4")
     if not 0 < radius <= 18:  # false for NaN too
         raise PreconditionError("radius must lie in (0, 18], the overflow-safe range")
-    rng = np.random.default_rng(seed)
-    log_radius = math.log(radius)
-    total = 0.0
-    for done in range(0, samples, 100_000):
-        # alpha1 = radius sqrt(u0) exp(2 pi i u1), alpha2 likewise from u2, u3
-        u = rng.random((4, min(100_000, samples - done)))
-        with np.errstate(divide="ignore"):  # u0 or u2 = 0 gives log 0 = -inf
-            log_r = np.maximum(log_radius + 0.5 * np.log(u[0::2]), _LOG_ZERO)
-        # conj(alpha1 alpha2) / |alpha1 alpha2|, by cos and sin: a complex exp is slower
-        angle = -2 * np.pi * (u[1:2] + u[3:4])
-        phase = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        total += float(_polar_q_values(state, log_r, phase, radius**2 * (u[0] + u[2])).sum())
+    # alpha1 = radius sqrt(u0) exp(2 pi i u1), alpha2 likewise from u2, u3, in
+    # batches of n; every batch reuses one buffer for its draws and one for its
+    # values, since arrays made per batch go back to the OS and fault in again
+    rng, step, log_radius = np.random.default_rng(seed), _block_size(state), math.log(radius)
+    n = min(samples, 100_000)
+    buf, q, total = np.empty(4 * n), np.empty(n), 0.0
+    for done in range(0, samples, n):
+        u = rng.random(out=buf[:4 * min(n, samples - done)]).reshape(4, -1)
+        values = q[:u.shape[1]]
+        for at in range(0, len(values), step):
+            v = u[:, at:at + step]
+            with np.errstate(divide="ignore"):  # v0 or v2 = 0 gives log 0 = -inf
+                log_r = np.maximum(log_radius + 0.5 * np.log(v[0::2]), _LOG_ZERO)
+            # conj(alpha1 alpha2) / |alpha1 alpha2|, by cos and sin: a complex exp is slower
+            angle = -2 * np.pi * (v[1:2] + v[3:4])
+            phase = np.empty(angle.shape, dtype=complex)
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
+            values[at:at + step] = _polar_q_values(state, log_r, phase, radius**2 * (v[0] + v[2]))
+        total += float(values.sum())
     return (math.pi * radius**2) ** 2 * total / samples

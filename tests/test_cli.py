@@ -130,6 +130,16 @@ class TestBuild:
         assert code == 2
         assert "index" in err
 
+    def test_overflow_at_index_0_names_the_parameter(self, capsys):
+        # f(2) = sinh(2 log qq) / (2 sinh(log qq)) overflows, and every q = 1
+        # ladder needs occupation 2: no cutoff helps
+        code, out, err = run(capsys, "build", "--f", "qdef:1e-308", "--q", "1",
+                             "--xi", "5", "--nmax", "0")
+        assert code == 2 and out == ""
+        assert err == ("chargestate: numeric failure: ladder matrix element or recursion "
+                       "coefficient overflowed at index 0; no n_max avoids it; use a "
+                       "deformation parameter nearer 1\n")
+
     def test_overflowed_pre_norm_is_null(self, capsys):
         code, out, _ = run(capsys, "build", "--f", "ps:0.5", "--q", "3",
                            "--xi", "5", "--nmax", "300")
@@ -425,6 +435,16 @@ class TestSweepSpec:
         spec = SweepSpec("g2_a", 1.0, 10.0, 4, "unity", 1)
         values = spec.xi_values()
         assert values[0] == 1.0 and values[-1] == 10.0 and len(values) == 4
+
+    def test_last_point_is_the_typed_end(self, capsys):
+        # xi_start + 3 step rounds to inf here; the end point is xi_end itself
+        top = sys.float_info.max
+        values = SweepSpec("g2_a", 0.0, top, 4, "unity", 1, n_max=3).xi_values()
+        assert all(map(math.isfinite, values)) and values[-1] == top
+        code, out, err = run(capsys, "sweep", "--diagnostic", "g2_a", "--f", "unity", "--q", "1",
+                             "--xi-start=0", f"--xi-end={top!r}", "--steps", "4", "--nmax", "3")
+        assert code == 2 and out == ""
+        assert "non-finite" not in err and "overflowed at index" in err
 
     def test_invariants(self):
         with pytest.raises(PreconditionError):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ class TestHusimiGrid:
                     want = husimi_point(state, complex(xs[ix], ys[iy]), 1 + 1j)
                     assert grid.values[ix * len(ys) + iy] == want
 
+    def test_block_boundaries(self):
+        # 21 segments make blocks of 1560 nodes, so a 64^2 grid spans 3 blocks
+        state = build_deformed(intensity_sqrt(), 1, 5.0, TruncationPolicy(320))
+        assert husimi._block_size(state) == 1560
+        grid = husimi_grid(state, 1 + 1j, (-6.0, 6.0, 64), (-6.0, 6.0, 64))
+        xs, ys = grid.axes()
+        for i in (0, 1559, 1560, 3119, 3120, 64 * 64 - 1):
+            ix, iy = divmod(i, 64)
+            assert grid.values[i] == husimi_point(state, complex(xs[ix], ys[iy]), 1 + 1j)
+
     def test_points_alternating_between_states(self):
         # each value comes from its own state's segment table: the grids match
         # the term-by-term oracle, and points taken in turn match their grid
@@ -215,6 +226,27 @@ class TestNormCheck:
         a2 = radius * np.sqrt(u[2]) * np.exp(2j * np.pi * u[3])
         spread = (math.pi * radius**2) ** 2 * husimi._q_values(state, a1, a2).std()
         assert abs(est - husimi_disk_integral(state, radius)) <= 4 * spread / math.sqrt(samples)
+
+
+class TestWorkingSet:
+    """No working array outgrows one kernel block: the peak traced allocation
+    of a large grid or norm check stays far below its full-size node arrays."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: husimi_grid(build_deformed(intensity_sqrt(), 1, 5.0, TruncationPolicy(80)),
+                            1 + 1j, (-6.0, 6.0, 512), (-6.0, 6.0, 512)),
+        lambda: husimi_norm_check(vacuum_state(), samples=1_000_000, radius=4.0),
+        lambda: husimi_norm_check(build_deformed(penson_solomon(0.5), -1, 10.0, TruncationPolicy(60)),
+                                  samples=1_000_000, radius=5.0),
+    ], ids=["grid-512^2", "norm-vacuum", "norm-ps"])
+    def test_peak_below_8_mb(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, peak
 
 
 class TestNonFiniteInput:
