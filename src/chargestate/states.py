@@ -6,11 +6,14 @@ symmetric tridiagonal matrix; its eigenvalue relation at eigenvalue xi is a
 three-term recursion in the ladder coefficients.  The primary construction
 path is the forward recursion with seeds c_{-1} = 0, c_0 = 1; the bottom-up
 continued fraction for the coefficient ratios is kept as an independent
-cross-validation path.  The undeformed (f = 1) states have two exact-integer
-builders by two algorithms: the closed form sums its alternating series
-directly, term by term, and the two-variable-Hermite reference steps the
-same polynomial by the Hermite index recurrence, O(1) big-integer operations
-per ladder index.
+cross-validation path.  The undeformed (f = 1) states have two builders,
+the closed form and the two-variable-Hermite reference; both read their
+alternating series from one exact-integer kernel, _hermite_diagonal, which
+steps the polynomial by the Hermite index recurrence with O(1) big-integer
+operations per ladder index.  The closed form takes any complex xi and the
+reference a real lam >= 0, stored as xi = lam; they differ in that parameter
+and in their factorial prefactors.  The direct alternating sum, term by
+term, is the tests' oracle for the kernel's integers.
 """
 
 from __future__ import annotations
@@ -283,40 +286,32 @@ def _split_binary(x: float):
     return m, e
 
 
-def _exact_alternating_sum_log(n: int, a: int, xi: complex):
-    """log-magnitude and phase of P_n(xi) = sum_k (-1)^k A_k xi^(n-k).
+def _hermite_diagonal(a: int, mr: int, mi: int, ee: int, n_max: int):
+    """Yield D_n(xi) * 2^(ee n) for n = 0 .. n_max as (real, imag) integers.
 
-    The polynomial has integer coefficients and is evaluated exactly in
-    integer arithmetic (the float xi is an exact binary rational), so the
-    severe cancellation of the alternating sum costs no precision; only the
-    final conversion to (log_abs, phase) rounds.
+    xi = (mr + i mi) / 2^ee exactly, and D_n(xi) = sum_k (-1)^k A_k xi^(n-k)
+    with A_k = C(n, k) (n+a)!/(n+a-k)!, the diagonal H_{n+a,n}(z,z)/z^a of the
+    two-variable Hermite polynomials at z^2 = xi.  With its neighbour
+    E_n = H_{n+a+1,n}(z,z)/z^(a+1) it is stepped by the index recurrences
+    D_0 = E_0 = 1, D_n = xi E_{n-1} - (n+a) D_{n-1}, E_n = D_n - n E_{n-1}:
+    O(1) exact big-integer operations per index, so the catastrophic
+    cancellation of the alternating series costs no precision.  A real xi
+    (mi == 0) steps plain integers.
     """
-    mr, er = _split_binary(xi.real)
-    mi, ei = _split_binary(xi.imag)
-    ee = max(er, ei)
-    mr <<= ee - er
-    mi <<= ee - ei
-    # Horner on P(xi) * 2**(ee*n): coefficient of xi^j is (-1)^(n-j) A_{n-j},
-    # with A_k = C(n, k) * (n+a)(n+a-1)...(n+a-k+1) formed step by step in w.
-    ar, ai = 1, 0  # leading coefficient A_0 = 1
-    w = 1
-    pure_real = mi == 0
-    for s in range(1, n + 1):
-        w = w * (n - s + 1) // s * (n + a - s + 1)
-        b = -w if s % 2 else w
-        if pure_real:
-            ar = ar * mr + (b << (ee * s))
-        else:
-            ar, ai = ar * mr - ai * mi + (b << (ee * s)), ar * mi + ai * mr
-    if ar == 0 and ai == 0:
-        return -math.inf, 0.0
-    if pure_real:
-        return math.log(abs(ar)) - n * ee * math.log(2.0), (0.0 if ar > 0 else math.pi)
-    bl = max(abs(ar).bit_length(), abs(ai).bit_length())
-    drop = max(bl - 64, 0)
-    fr, fi = ar / (1 << drop), ai / (1 << drop)  # int true division rounds correctly
-    log_abs = 0.5 * math.log(fr * fr + fi * fi) + (drop - n * ee) * math.log(2.0)
-    return log_abs, math.atan2(fi, fr)
+    s = 1 << ee
+    d = e = 1
+    yield d, 0
+    if mi == 0:
+        for n in range(1, n_max + 1):
+            d = mr * e - (n + a) * s * d
+            e = d - n * s * e
+            yield d, 0
+        return
+    di = ei = 0
+    for n in range(1, n_max + 1):
+        d, di = mr * e - mi * ei - (n + a) * s * d, mr * ei + mi * e - (n + a) * s * di
+        e, ei = d - n * s * e, di - n * s * ei
+        yield d, di
 
 
 def _materialize(q, xi, f_spec, logs, phases) -> ChargeState:
@@ -337,18 +332,33 @@ def build_linear_closed(q: int, xi: complex, trunc: TruncationPolicy) -> ChargeS
     The coefficient at ladder index n is
     sqrt([n+|q|]! n!) * sum_k (-1)^k xi^(n-k) / (k! [n+|q|-k]! (n-k)!)
     with the bracket factorial [j]! = (j+|q|)!/|q|! shifted products, up to
-    global normalization over the truncated ladder.  The alternating inner
-    sum is evaluated exactly (see _exact_alternating_sum_log); the factorial
+    global normalization over the truncated ladder.  In integer-weight form
+    the alternating inner sum is the polynomial D_n(xi) of _hermite_diagonal,
+    taken exactly (the float xi is an exact binary rational); only its
+    conversion to (log magnitude, phase) rounds, and the factorial
     prefactors are applied in log scale.
     """
     a = abs(int(q))
     xi = complex(xi)
     n_max = trunc.n_max
+    mr, er = _split_binary(xi.real)
+    mi, ei = _split_binary(xi.imag)
+    ee = max(er, ei)
+    ln2 = math.log(2.0)
     lf_a = log_factorial(a)
     logs = np.empty(n_max + 1)
     phases = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        log_p, phase = _exact_alternating_sum_log(n, a, xi)
+    terms = _hermite_diagonal(a, mr << (ee - er), mi << (ee - ei), ee, n_max)
+    for n, (ar, ai) in enumerate(terms):
+        if ar == 0 and ai == 0:
+            log_p, phase = -math.inf, 0.0
+        elif mi == 0:
+            log_p, phase = math.log(abs(ar)) - n * ee * ln2, (0.0 if ar > 0 else math.pi)
+        else:
+            drop = max(max(abs(ar).bit_length(), abs(ai).bit_length()) - 64, 0)
+            fr, fi = ar / (1 << drop), ai / (1 << drop)  # int true division rounds correctly
+            log_p = 0.5 * math.log(fr * fr + fi * fi) + (drop - n * ee) * ln2
+            phase = math.atan2(fi, fr)
         # sqrt([n+a]! n!) prefactor combined with the a!/(n! (n+a)!) factored
         # out of the integer-weight form of the inner sum
         logs[n] = log_p + 0.5 * (lf_a - log_factorial(n) - log_factorial(n + a))
@@ -366,14 +376,11 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
     The raw coefficient at ladder index n is
     H_{na,nb}(sqrt(lam), sqrt(lam)) / sqrt(na! nb!) with the occupations of
     the branch of q; the global exp(-lam/2) of the unnormalized reference is
-    dropped (absorbed by normalization).  With z = sqrt(lam) and a = |q|,
-    D_n = H_{n+a,n}(z,z)/z^a and E_n = H_{n+a+1,n}(z,z)/z^(a+1) are
-    polynomials in lam that the Hermite index recurrences step along the
-    diagonal: D_0 = E_0 = 1, D_n = lam E_{n-1} - (n+a) D_{n-1},
-    E_n = D_n - n E_{n-1}.  Scaled by 2^(el n), where lam = ml / 2^el, they
-    are integers, so the recurrence runs exactly: the Hermite values cancel
-    catastrophically in double precision in exactly the regimes these states
-    occupy.  The closed form sums the same polynomial directly, term by term.
+    dropped (absorbed by normalization).  With z = sqrt(lam) and a = |q| it
+    is z^a D_n(lam) / sqrt((n+a)! n!), where D_n = H_{n+a,n}(z,z)/z^a is the
+    polynomial in lam that _hermite_diagonal steps exactly by the Hermite
+    index recurrences: the Hermite values cancel catastrophically in double
+    precision in exactly the regimes these states occupy.
     """
     if lam < 0:
         raise PreconditionError("lam must be >= 0")
@@ -388,14 +395,9 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
                 logs[n] = 0.0  # n! / sqrt(n! n!) = 1
         return signs, logs
     ml, el = _split_binary(lam)
-    s = 1 << el
     ln2 = math.log(2.0)
     half_global = 0.5 * a * math.log(lam)
-    d = e = 1  # D_n and E_n scaled by 2^(el n)
-    for n in range(n_max + 1):
-        if n:
-            d = ml * e - (n + a) * s * d
-            e = d - n * s * e
+    for n, (d, _) in enumerate(_hermite_diagonal(a, ml, 0, el, n_max)):
         if d == 0:
             continue
         signs[n] = 1.0 if d > 0 else -1.0
@@ -477,13 +479,6 @@ class ConvergenceReport:
 
     def converged(self) -> dict[str, bool]:
         return {d.name: d.converged for d in self.drifts}
-
-    @property
-    def pre_norm_ratio(self) -> float:
-        try:
-            return math.exp(self.log_pre_norm_ratio)
-        except OverflowError:
-            return math.inf
 
 
 def convergence_report(

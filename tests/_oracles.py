@@ -113,12 +113,45 @@ def hermite_exact(m, n, z):
     return total_r, total_i
 
 
+def alternating_sum_scaled(a, xi, n_max):
+    """(mr, mi, ee, [P_n(xi) 2^(ee n) for n = 0 .. n_max]) with each value an
+    exact (real, imag) integer pair, by the direct alternating sum over k.
+
+    P_n(xi) = sum_k (-1)^k W_k xi^(n-k), W_k = C(n, k) (n+a)!/(n+a-k)!, is
+    both the closed form's inner sum and H_{n+a,n}(z,z)/z^a at z^2 = xi.  The
+    float xi is the exact binary rational (mr + i mi)/2^ee, so each scaled
+    value is a Gaussian integer, summed by Horner in mr + i mi, term by term
+    and independently per index: the reference for the index recurrence of
+    ``states._hermite_diagonal``.  Horner multiplies by the odd part
+    (hr + i hi) of mr + i mi and shifts by its power of two, so a large xi
+    such as 1e300 (ee = 0, 997-bit mr) stays cheap.
+    """
+    xi = complex(xi)
+    (mr, dr), (mi, di) = xi.real.as_integer_ratio(), xi.imag.as_integer_ratio()
+    er, ei = dr.bit_length() - 1, di.bit_length() - 1
+    ee = max(er, ei)
+    mr, mi = mr << (ee - er), mi << (ee - ei)
+    tz = min(((m & -m).bit_length() - 1 for m in (mr, mi) if m), default=0)
+    hr, hi = mr >> tz, mi >> tz
+    values = []
+    for n in range(n_max + 1):
+        tr = ti = 0
+        w = 1
+        for k in range(n + 1):
+            t = w << (ee * k)
+            tr, ti = ((tr * hr - ti * hi) << tz) + (-t if (k & 1) else t), (tr * hi + ti * hr) << tz
+            if k < n:
+                w = w * (n - k) // (k + 1) * (n + a - k)
+        values.append((tr, ti))
+    return mr, mi, ee, values
+
+
 def hermite_reference_terms_direct(q, lam, n_max):
     """(sign, log magnitude) per ladder index of H_{na,nb}(z,z)/sqrt(na! nb!),
-    z^2 = lam, by the direct alternating sum over k, exact in integers.
+    z^2 = lam, from the integers of ``alternating_sum_scaled``.
 
-    The bit-identity reference for the index recurrence of
-    ``states.hermite_reference_terms``: the same integers, summed term by term.
+    The bit-identity reference for ``states.hermite_reference_terms``: the
+    same integers, summed term by term.
     """
     a = abs(int(q))
     signs = np.zeros(n_max + 1)
@@ -129,28 +162,16 @@ def hermite_reference_terms_direct(q, lam, n_max):
                 signs[n] = -1.0 if n % 2 else 1.0
                 logs[n] = 0.0
         return signs, logs
-    ml, den = float(lam).as_integer_ratio()
-    el = den.bit_length() - 1
+    _, _, el, values = alternating_sum_scaled(a, lam, n_max)
     ln2 = math.log(2.0)
     half_global = 0.5 * a * math.log(lam)
-    for n in range(n_max + 1):
-        m = n + a
-        # H_{m,n}(z,z) with z^2 = lam: sum_k (-1)^k W_k lam^(n-k) * lam^(a/2),
-        # W_k = m! n! / (k! (m-k)! (n-k)!); scaled by 2^(el n) it is an
-        # integer series in ml = lam * 2^el, summed by Horner in ml.
-        total = 0
-        w = 1
-        for k in range(n + 1):
-            t = w << (el * k)
-            total = total * ml + (-t if (k & 1) else t)
-            if k < n:
-                w = w * (n - k) // (k + 1) * (m - k)
+    for n, (total, _) in enumerate(values):
         if total == 0:
             continue
         signs[n] = 1.0 if total > 0 else -1.0
         logs[n] = (
             math.log(abs(total)) - n * el * ln2 + half_global
-            - 0.5 * (math.lgamma(m + 1) + math.lgamma(n + 1))
+            - 0.5 * (math.lgamma(n + a + 1) + math.lgamma(n + 1))
         )
     return signs, logs
 

@@ -277,7 +277,7 @@ def test_14_cutoff_honesty():
         oracle_divergent = exact_ratio > 10.0
         rep_unity = convergence_report(unity(), 1, 5.0, 40, 80, diag_tol=tol)
         assert rep_unity.norm_divergent == oracle_divergent
-        assert rep_unity.pre_norm_ratio == pytest.approx(exact_ratio, rel=1e-9)
+        assert math.exp(rep_unity.log_pre_norm_ratio) == pytest.approx(exact_ratio, rel=1e-9)
         mean40 = float(unity_mean_na_exact(1, 5.0, 40))
         mean80 = float(unity_mean_na_exact(1, 5.0, 80))
         oracle_mean_converged = abs(mean80 - mean40) / mean40 <= tol

@@ -1,6 +1,7 @@
 """Property tests over the deformation catalog: finite-or-fail, correct
 (interior residual, continued-fraction ratio and, on short ladders, dense
-operator moments) and document round trip."""
+operator moments) and document round trip; and the f = 1 builders' exact
+kernel against the direct alternating sum, integer for integer."""
 
 import dataclasses
 import json
@@ -15,6 +16,7 @@ from chargestate.nonlinearity import parse_spec
 from chargestate.states import (
     ChargeState,
     TruncationPolicy,
+    _hermite_diagonal,
     build_deformed,
     continued_fraction_ratio,
     ladder_elements,
@@ -22,7 +24,7 @@ from chargestate.states import (
     state_to_document,
 )
 
-from _oracles import TwoModeSpace
+from _oracles import TwoModeSpace, alternating_sum_scaled
 
 SPECS = st.one_of(
     st.sampled_from(["unity", "sqrt", "ps:0.5", "qdef:7"]),
@@ -115,3 +117,11 @@ def test_finite_state_or_typed_error(spec, q, xi, n_max, data):
             assert got.tobytes() == want.tobytes()
         else:
             assert got == want, field.name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(-4, 4), xi=XI, n_max=st.integers(0, 40))
+def test_hermite_diagonal_is_the_direct_sum(q, xi, n_max):
+    # the f = 1 builders' one exact kernel against the direct alternating sum
+    mr, mi, ee, want = alternating_sum_scaled(abs(q), xi, n_max)
+    assert list(_hermite_diagonal(abs(q), mr, mi, ee, n_max)) == want

@@ -19,6 +19,7 @@ from chargestate.states import (
     RESCALE_LIMIT,
     ChargeState,
     TruncationPolicy,
+    _hermite_diagonal,
     _recursion_states,
     build_deformed,
     build_hermite_reference,
@@ -28,11 +29,13 @@ from chargestate.states import (
     eigen_residual,
     hermite_reference_terms,
     ladder_elements,
+    log_factorial,
     state_from_document,
     state_to_document,
 )
 
 from _oracles import (
+    alternating_sum_scaled,
     hermite_exact,
     hermite_reference_terms_direct,
     ladder_scalar,
@@ -298,6 +301,26 @@ class TestContinuedFraction:
             assert abs(got - want) <= 1e-9 * abs(want)
 
 
+class TestLogFactorial:
+    def test_base_cases(self):
+        assert log_factorial(0) == 0.0
+        assert log_factorial(5) == pytest.approx(math.log(120.0), rel=1e-15)
+
+    def test_recurrence_beyond_linear_overflow(self):
+        # 170! overflows a double; the log-scale recurrence identity must hold.
+        assert log_factorial(170) - log_factorial(169) == pytest.approx(
+            math.log(170.0), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_matches_exact_integer_product(self, n):
+        assert math.exp(log_factorial(n)) == pytest.approx(math.factorial(n), rel=1e-14)
+
+    def test_negative_rejected(self):
+        with pytest.raises(PreconditionError):
+            log_factorial(-1)
+
+
 class TestLinearClosedForm:
     def test_q0_xi1_kills_first_excited(self):
         state = build_linear_closed(0, 1.0, TruncationPolicy(3))
@@ -398,6 +421,15 @@ class TestHermiteReference:
             assert np.array_equal(signs, want_signs[: n_max + 1]), n_max
             assert np.array_equal(logs, want_logs[: n_max + 1]), n_max
 
+    @pytest.mark.parametrize("a", range(5))  # q = -4 .. 4 reach the kernel as a = |q|
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 0.625, -2.0, 10.875, 123.456, 3e4, 5e-324, 1e300,
+                                    2.5 - 1.5j, 1j, 5 + 0.5j, -3 - 7.25j])
+    def test_diagonal_integers_equal_direct_sum(self, a, xi):
+        # the one exact kernel behind both f = 1 builders, integer for integer
+        mr, mi, ee, want = alternating_sum_scaled(a, xi, 200)
+        for n_max in (0, 1, 2, 5, 24, 60, 200):
+            assert list(_hermite_diagonal(a, mr, mi, ee, n_max)) == want[: n_max + 1], n_max
+
     @pytest.mark.parametrize("lam", [5.0, 10.0])
     def test_sqrt_lambda_map_is_rejected(self, lam):
         # the substitution ambiguity resolves to xi = lam, not xi = sqrt(lam)
@@ -494,7 +526,7 @@ class TestConvergenceReport:
         exact = float(
             unity_pre_norm_exact(1, 5.0, 80) / unity_pre_norm_exact(1, 5.0, 40)
         )
-        assert rep.pre_norm_ratio == pytest.approx(exact, rel=1e-9)
+        assert math.exp(rep.log_pre_norm_ratio) == pytest.approx(exact, rel=1e-9)
         assert not rep.norm_divergent  # sqrt-like growth stays under x10
 
     def test_decaying_configuration_converges(self):
