@@ -11,6 +11,7 @@ For negative numeric flag values use the attached form, e.g. ``--xi=-2``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -24,6 +25,7 @@ from . import husimi as hq
 from .errors import ChargeStateError, PreconditionError, SpecParseError
 from .nonlinearity import parse_spec
 from .states import (
+    DIAG_TOL,
     TruncationPolicy,
     build_deformed,
     convergence_report,
@@ -179,11 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out: str | Path | None):
+    """Write a command's text chunks to the file out, or to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+        stream.writelines(chunks)
 
 
 def _inputs(args):
@@ -196,42 +197,44 @@ def _state(args):
     return build_deformed(f, q, xi, TruncationPolicy(args.nmax))
 
 
-# Each command but figures: parsed args -> the text it emits.
+# Each command but figures: parsed args -> the text chunks it emits.  Only the
+# formatting is lazy (husimi's, one grid row per chunk): a failed command writes nothing.
 
-def _build_json(args) -> str:
-    return json.dumps(state_to_document(_state(args)), allow_nan=False) + "\n"
+def _build_json(args) -> list[str]:
+    return [json.dumps(state_to_document(_state(args)), allow_nan=False) + "\n"]
 
 
-def _sweep_csv(spec: SweepSpec) -> str:
+def _sweep_csv(spec: SweepSpec) -> list[str]:
     f = parse_spec(spec.f_spec)
-    lines = ["xi,value,defined"]
+    lines = ["xi,value,defined\n"]
     for xi in spec.xi_values():
         state = build_deformed(f, spec.q, xi, TruncationPolicy(spec.n_max))
         value = dg.DIAGNOSTICS[spec.diagnostic](dg.moments(state))
         if value is None:
-            lines.append(f"{fmt(xi)},,0")
+            lines.append(f"{fmt(xi)},,0\n")
         else:
-            lines.append(f"{fmt(xi)},{fmt(value)},1")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{fmt(xi)},{fmt(value)},1\n")
+    return lines
 
 
-def _pnd_csv(args) -> str:
-    lines = ["n,na,nb,p"]
+def _pnd_csv(args) -> list[str]:
+    lines = ["n,na,nb,p\n"]
     for n, na, nb, p in dg.photon_distribution(_state(args)):
-        lines.append(f"{n},{na},{nb},{fmt(p)}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{n},{na},{nb},{fmt(p)}\n")
+    return lines
 
 
-def _husimi_csv(args) -> str:
+def _husimi_csv(args) -> itertools.chain[str]:
     alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")
     grid = hq.husimi_grid(_state(args), alpha2, (args.xmin, args.xmax, args.grid),
                           (args.ymin, args.ymax, args.grid))
     xs, ys = (["%.17g," % v for v in axis.tolist()] for axis in grid.axes())
-    rows = zip(itertools.product(xs, ys), grid.values.tolist())
-    return "x,y,q\n" + "".join(["%s%s%.17g\n" % (x, y, q) for (x, y), q in rows])
+    rows = ("".join(["%s%s%.17g\n" % (x, y, q) for y, q in zip(ys, row.tolist())])
+            for x, row in zip(xs, grid.values.reshape(len(xs), len(ys))))
+    return itertools.chain(["x,y,q\n"], rows)
 
 
-def _verify_json(args) -> str:
+def _verify_json(args) -> list[str]:
     f, q, xi = _inputs(args)
     n_max2 = args.nmax2 if args.nmax2 is not None else 2 * args.nmax
     report = convergence_report(f, q, xi, args.nmax, n_max2)
@@ -250,10 +253,10 @@ def _verify_json(args) -> str:
         "log_pre_norm_ratio": report.log_pre_norm_ratio,
         "norm_divergent": report.norm_divergent,
         "converged": report.converged(),
-        "diag_tol": report.diag_tol,
+        "diag_tol": DIAG_TOL,
         "rescale_count": state.rescale_count,
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return [json.dumps(doc, indent=2, allow_nan=False) + "\n"]
 
 
 _RUNNERS = {
@@ -291,7 +294,7 @@ def _write_figures(args):
     outdir.mkdir(parents=True, exist_ok=True)
     for name, argv in _figure_commands(args.nmax, args.steps, args.grid):
         command = build_parser().parse_args(argv)
-        (outdir / name).write_text(_RUNNERS[command.command](command))
+        _emit(_RUNNERS[command.command](command), outdir / name)
     print(f"figure data written to {outdir}", file=sys.stderr)
 
 

@@ -52,7 +52,7 @@ _LOG_Z_CAP = 46.0
 _LOG_ZERO = -1e300
 _FLOAT_MAX = np.finfo(float).max
 # Nodes per husimi_grid call (2048 x 2048), refused before any allocation: a
-# node costs its 8-byte value, and in the CLI some 220 bytes of CSV text.
+# node costs its 8-byte value; the CLI formats one grid row of CSV at a time.
 MAX_GRID_NODES = 1 << 22
 
 # The segment table of the last state evaluated, as (state, table).

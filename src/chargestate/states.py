@@ -453,6 +453,7 @@ def eigen_residual(f: nl.NonlinearityFunction, state: ChargeState) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 NORM_DIVERGENCE_FACTOR = 10.0
+DIAG_TOL = 1e-3
 
 CONVERGENCE_DIAGNOSTICS = ("mean_na", "mandel_a", "g2_a", "g12", "i0")
 
@@ -470,7 +471,6 @@ class DiagnosticDrift:
 class ConvergenceReport:
     n_coarse: int
     n_fine: int
-    diag_tol: float
     coarse: ChargeState
     fine: ChargeState
     log_pre_norm_ratio: float
@@ -487,7 +487,6 @@ def convergence_report(
     xi: complex,
     n1: int,
     n2: int,
-    diag_tol: float = 1e-3,
 ) -> ConvergenceReport:
     """Compare states built at cutoffs n1 < n2, both from one recursion.
 
@@ -495,14 +494,12 @@ def convergence_report(
     build_deformed at n1.
 
     A diagnostic is flagged converged when its relative change between the
-    cutoffs is at most diag_tol (undefined values are never converged); the
+    cutoffs is at most DIAG_TOL (undefined values are never converged); the
     state is flagged norm-divergent when the raw pre-normalization weight
     grows by more than NORM_DIVERGENCE_FACTOR.
     """
     if not (3 <= n1 < n2):
         raise PreconditionError("convergence_report requires 3 <= n1 < n2")
-    if not (math.isfinite(diag_tol) and diag_tol > 0):
-        raise PreconditionError("diag_tol must be finite and positive")
     from . import diagnostics as dg
 
     def values(state):
@@ -521,12 +518,11 @@ def convergence_report(
             rel = 0.0 if v2 == 0.0 else math.inf
         else:
             rel = abs(v2 - v1) / abs(v1)
-        drifts.append(DiagnosticDrift(name, v1, v2, rel, rel <= diag_tol))
+        drifts.append(DiagnosticDrift(name, v1, v2, rel, rel <= DIAG_TOL))
     log_ratio = fine_state.log_pre_norm - coarse_state.log_pre_norm
     return ConvergenceReport(
         n_coarse=n1,
         n_fine=n2,
-        diag_tol=diag_tol,
         coarse=coarse_state,
         fine=fine_state,
         log_pre_norm_ratio=log_ratio,

@@ -275,7 +275,7 @@ def test_14_cutoff_honesty():
         exact_ratio = float(unity_pre_norm_exact(1, 5.0, 80) / unity_pre_norm_exact(1, 5.0, 40))
         assert exact_ratio == pytest.approx(1.402427, abs=1e-4)  # frozen oracle value
         oracle_divergent = exact_ratio > 10.0
-        rep_unity = convergence_report(unity(), 1, 5.0, 40, 80, diag_tol=tol)
+        rep_unity = convergence_report(unity(), 1, 5.0, 40, 80)
         assert rep_unity.norm_divergent == oracle_divergent
         assert math.exp(rep_unity.log_pre_norm_ratio) == pytest.approx(exact_ratio, rel=1e-9)
         mean40 = float(unity_mean_na_exact(1, 5.0, 40))
@@ -288,7 +288,7 @@ def test_14_cutoff_honesty():
         growth = dominant_ratio(penson_solomon(0.5), 1)
         assert 1.9 < growth < 2.1  # frozen: dominant root ~ 2 (p^-2/2 balance)
         predicted = predicted_log10_pre_norm_ratio(penson_solomon(0.5), 1, 40, 80)
-        rep_ps = convergence_report(penson_solomon(0.5), 1, 5.0, 40, 80, diag_tol=tol)
+        rep_ps = convergence_report(penson_solomon(0.5), 1, 5.0, 40, 80)
         assert rep_ps.norm_divergent == (predicted > 1.0)
         assert rep_ps.norm_divergent
         measured = rep_ps.log_pre_norm_ratio / math.log(10.0)
@@ -296,7 +296,7 @@ def test_14_cutoff_honesty():
         assert not rep_ps.converged()["mean_na"]  # the weight rides the cutoff
 
         # the convergent deformed regime exists and is reported as such
-        rep_conv = convergence_report(penson_solomon(0.5), -1, 5.0, 40, 80, diag_tol=tol)
+        rep_conv = convergence_report(penson_solomon(0.5), -1, 5.0, 40, 80)
         assert dominant_ratio(penson_solomon(0.5), -1) < 1.0
         assert not rep_conv.norm_divergent
         assert all(rep_conv.converged().values())

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,9 @@ from chargestate.errors import (
     PreconditionError,
     SpecParseError,
 )
-from chargestate.husimi import MAX_GRID_NODES
-from chargestate.states import MAX_OCCUPATIONS
+from chargestate.husimi import MAX_GRID_NODES, husimi_grid
+from chargestate.nonlinearity import parse_spec
+from chargestate.states import MAX_OCCUPATIONS, TruncationPolicy, build_deformed
 
 
 def run(capsys, *argv):
@@ -75,6 +77,17 @@ class TestExitCodes:
                              "--nmax", "3", "--out", str(target))
         assert code == 1 and out == ""
         assert err.startswith("chargestate: error: ") and str(target) in err
+
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "--f", "ps:0.5", "--q", "1", "--xi", "5", "--nmax", "170"], 2),
+        (["husimi", "--f", "unity", "--q", "0", "--xi", "2", "--alpha2", "0,0", "--xmin", "0",
+          "--xmax", "1", "--ymin", "0", "--ymax", "1", "--grid", "1", "--nmax", "10"], 1),
+    ], ids=["numeric", "usage"])
+    def test_failed_command_creates_no_out_file(self, capsys, tmp_path, argv, code):
+        target = tmp_path / "out.txt"
+        got, out, _ = run(capsys, *argv, "--out", str(target))
+        assert got == code and out == ""
+        assert not target.exists()
 
     def test_outdir_that_is_a_file_exits_1(self, capsys, tmp_path):
         target = tmp_path / "README.md"
@@ -295,6 +308,34 @@ class TestHusimiCmd:
                            "--ymin", "0", "--ymax", "1", "--grid", "2", "--nmax", "10")
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 4
+
+    def test_rows_are_the_grid_values_x_outer(self, capsys):
+        # unequal x and y ranges, so a transposed grid cannot pass
+        code, out, _ = run(capsys, "husimi", "--f", "sqrt", "--q", "2", "--xi", "5",
+                           "--alpha2", "1,0.5", "--xmin=-3", "--xmax", "1",
+                           "--ymin", "0.5", "--ymax", "2", "--grid", "7", "--nmax", "40")
+        assert code == 0
+        state = build_deformed(parse_spec("sqrt"), 2, 5.0, TruncationPolicy(40))
+        grid = husimi_grid(state, 1 + 0.5j, (-3.0, 1.0, 7), (0.5, 2.0, 7))
+        xs, ys = grid.axes()
+        expected = ["x,y,q"] + ["%.17g,%.17g,%.17g" % (xs[ix], ys[iy], grid.values[ix * 7 + iy])
+                                for ix in range(7) for iy in range(7)]
+        assert out.split("\n") == expected + [""]
+
+    def test_working_set(self, tmp_path):
+        # the CSV is written one grid row at a time: the 256^2 file is 4 MB,
+        # and holding its rows as strings peaks at some 14 MB
+        target = tmp_path / "q.csv"
+        tracemalloc.start()
+        try:
+            code = main(["husimi", "--f", "sqrt", "--q", "1", "--xi", "5", "--alpha2", "1,1",
+                         "--xmin=-6", "--xmax", "6", "--ymin=-6", "--ymax", "6",
+                         "--grid", "256", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and target.stat().st_size > 4e6
+        assert peak < 8e6
 
     def test_grid_too_small_rejected(self, capsys):
         code, _, _ = run(capsys, "husimi", "--f", "unity", "--q", "0", "--xi", "2",
