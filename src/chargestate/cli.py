@@ -226,8 +226,9 @@ def _pnd_csv(args) -> list[str]:
 
 def _husimi_csv(args) -> itertools.chain[str]:
     alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")
-    grid = hq.husimi_grid(_state(args), alpha2, (args.xmin, args.xmax, args.grid),
-                          (args.ymin, args.ymax, args.grid))
+    x_range, y_range = (args.xmin, args.xmax, args.grid), (args.ymin, args.ymax, args.grid)
+    hq._check_lattice(x_range, y_range)  # before the state, which can take long or fail
+    grid = hq.husimi_grid(_state(args), alpha2, x_range, y_range)
     xs, ys = (["%.17g," % v for v in axis.tolist()] for axis in grid.axes())
     rows = ("".join(["%s%s%.17g\n" % (x, y, q) for y, q in zip(ys, row.tolist())])
             for x, row in zip(xs, grid.values.reshape(len(xs), len(ys))))

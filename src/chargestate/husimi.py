@@ -183,6 +183,19 @@ def husimi_point(state: ChargeState, alpha1: complex, alpha2: complex) -> float:
     return float(_q_values(state, [complex(alpha1)], [complex(alpha2)])[0])
 
 
+def _check_lattice(x_range: tuple[float, float, int], y_range: tuple[float, float, int]):
+    """Refuse a lattice husimi_grid cannot take, before any state or array is built."""
+    (x0, x1, nx), (y0, y1, ny) = x_range, y_range
+    if nx < 2 or ny < 2:
+        raise PreconditionError("grid counts must be >= 2")
+    if nx * ny > MAX_GRID_NODES:
+        raise PreconditionError(f"grid of {nx} x {ny} nodes exceeds {MAX_GRID_NODES} nodes")
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise PreconditionError("grid range bounds must be finite")
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise PreconditionError("grid range spans must lie within double range")
+
+
 def husimi_grid(
     state: ChargeState,
     alpha2: complex,
@@ -193,16 +206,8 @@ def husimi_grid(
 
     Each node equals the husimi_point evaluation at alpha1 = complex(x, y).
     """
-    x0, x1, nx = x_range
-    y0, y1, ny = y_range
-    if nx < 2 or ny < 2:
-        raise PreconditionError("grid counts must be >= 2")
-    if nx * ny > MAX_GRID_NODES:
-        raise PreconditionError(f"grid of {nx} x {ny} nodes exceeds {MAX_GRID_NODES} nodes")
-    if not all(map(math.isfinite, (x0, x1, y0, y1))):
-        raise PreconditionError("grid range bounds must be finite")
-    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
-        raise PreconditionError("grid range spans must lie within double range")
+    _check_lattice(x_range, y_range)
+    (x0, x1, nx), (y0, y1, ny) = x_range, y_range
     xs, iys, alpha2 = np.linspace(x0, x1, nx), 1j * np.linspace(y0, y1, ny), complex(alpha2)
     values, step = np.empty(nx * ny), _block_size(state)
     for at in range(0, len(values), step):

@@ -10,7 +10,8 @@ cross-validation path.  The undeformed (f = 1) states have two builders,
 the closed form and the two-variable-Hermite reference; both read their
 alternating series from one exact-integer kernel, _hermite_diagonal, which
 steps the polynomial by the Hermite index recurrence with O(1) big-integer
-operations per ladder index.  The closed form takes any complex xi and the
+operations per ladder index, through one conversion to log magnitude and
+phase, _diagonal_logs.  The closed form takes any complex xi and the
 reference a real lam >= 0, stored as xi = lam; they differ in that parameter
 and in their factorial prefactors.  The direct alternating sum, term by
 term, is the tests' oracle for the kernel's integers.
@@ -282,8 +283,7 @@ def _split_binary(x: float):
         m, d = float(x).as_integer_ratio()
     except (OverflowError, ValueError):
         raise PreconditionError(f"non-finite coordinate {x!r}") from None
-    e = d.bit_length() - 1
-    return m, e
+    return m, d.bit_length() - 1
 
 
 def _hermite_diagonal(a: int, mr: int, mi: int, ee: int, n_max: int):
@@ -295,29 +295,48 @@ def _hermite_diagonal(a: int, mr: int, mi: int, ee: int, n_max: int):
     E_n = H_{n+a+1,n}(z,z)/z^(a+1) it is stepped by the index recurrences
     D_0 = E_0 = 1, D_n = xi E_{n-1} - (n+a) D_{n-1}, E_n = D_n - n E_{n-1}:
     O(1) exact big-integer operations per index, so the catastrophic
-    cancellation of the alternating series costs no precision.  A real xi
-    (mi == 0) steps plain integers.
+    cancellation of the alternating series costs no precision.
     """
     s = 1 << ee
     d = e = 1
-    yield d, 0
-    if mi == 0:
-        for n in range(1, n_max + 1):
-            d = mr * e - (n + a) * s * d
-            e = d - n * s * e
-            yield d, 0
-        return
     di = ei = 0
+    yield d, di
     for n in range(1, n_max + 1):
         d, di = mr * e - mi * ei - (n + a) * s * d, mr * ei + mi * e - (n + a) * s * di
         e, ei = d - n * s * e, di - n * s * ei
         yield d, di
 
 
-def _materialize(q, xi, f_spec, logs, phases) -> ChargeState:
-    """Turn per-coefficient (log magnitude, phase) into a normalized state."""
-    logs = np.asarray(logs, dtype=float)
-    phases = np.asarray(phases, dtype=float)
+def _diagonal_logs(a: int, xi: complex, n_max: int):
+    """(ln|D_n(xi)|, arg D_n(xi), ln n!, ln (n+a)!) for n = 0 .. n_max, as arrays.
+
+    The integers of _hermite_diagonal are exact; only this conversion rounds.
+    D_n = 0 gives -inf and phase 0, a real D_n the phase 0 or pi, and a
+    complex one is cut to its top 64 bits before its modulus and atan2.
+    """
+    mr, er = _split_binary(xi.real)
+    mi, ei = _split_binary(xi.imag)
+    ee = max(er, ei)
+    ln2 = math.log(2.0)
+    log_d = np.empty(n_max + 1)
+    phases = np.empty(n_max + 1)
+    terms = _hermite_diagonal(a, mr << (ee - er), mi << (ee - ei), ee, n_max)
+    for n, (ar, ai) in enumerate(terms):
+        if ar == 0 and ai == 0:
+            log_d[n], phases[n] = -math.inf, 0.0
+        elif mi == 0:
+            log_d[n], phases[n] = math.log(abs(ar)) - n * ee * ln2, (0.0 if ar > 0 else math.pi)
+        else:
+            drop = max(max(abs(ar).bit_length(), abs(ai).bit_length()) - 64, 0)
+            fr, fi = ar / (1 << drop), ai / (1 << drop)  # int true division rounds correctly
+            log_d[n] = 0.5 * math.log(fr * fr + fi * fi) + (drop - n * ee) * ln2
+            phases[n] = math.atan2(fi, fr)
+    lf = np.array([math.lgamma(k + 1) for k in range(n_max + a + 1)])
+    return log_d, phases, lf[: n_max + 1], lf[a:]
+
+
+def _materialize(q, xi, f_spec, logs: np.ndarray, phases: np.ndarray) -> ChargeState:
+    """Turn per-coefficient (log magnitude, phase) arrays into a normalized state."""
     finite = logs > -math.inf
     if not finite.any():
         raise DegenerateStateError("all ladder coefficients vanished")
@@ -340,30 +359,10 @@ def build_linear_closed(q: int, xi: complex, trunc: TruncationPolicy) -> ChargeS
     """
     a = abs(int(q))
     xi = complex(xi)
-    n_max = trunc.n_max
-    mr, er = _split_binary(xi.real)
-    mi, ei = _split_binary(xi.imag)
-    ee = max(er, ei)
-    ln2 = math.log(2.0)
-    lf_a = log_factorial(a)
-    logs = np.empty(n_max + 1)
-    phases = np.empty(n_max + 1)
-    terms = _hermite_diagonal(a, mr << (ee - er), mi << (ee - ei), ee, n_max)
-    for n, (ar, ai) in enumerate(terms):
-        if ar == 0 and ai == 0:
-            log_p, phase = -math.inf, 0.0
-        elif mi == 0:
-            log_p, phase = math.log(abs(ar)) - n * ee * ln2, (0.0 if ar > 0 else math.pi)
-        else:
-            drop = max(max(abs(ar).bit_length(), abs(ai).bit_length()) - 64, 0)
-            fr, fi = ar / (1 << drop), ai / (1 << drop)  # int true division rounds correctly
-            log_p = 0.5 * math.log(fr * fr + fi * fi) + (drop - n * ee) * ln2
-            phase = math.atan2(fi, fr)
-        # sqrt([n+a]! n!) prefactor combined with the a!/(n! (n+a)!) factored
-        # out of the integer-weight form of the inner sum
-        logs[n] = log_p + 0.5 * (lf_a - log_factorial(n) - log_factorial(n + a))
-        phases[n] = phase
-    return _materialize(q, xi, nl.unity(), logs, phases)
+    log_d, phases, lf_n, lf_na = _diagonal_logs(a, xi, trunc.n_max)
+    # sqrt([n+a]! n!) prefactor combined with the a!/(n! (n+a)!) factored
+    # out of the integer-weight form of the inner sum
+    return _materialize(q, xi, nl.unity(), log_d + 0.5 * (log_factorial(a) - lf_n - lf_na), phases)
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +384,15 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
     if lam < 0:
         raise PreconditionError("lam must be >= 0")
     a = abs(int(q))
-    signs = np.zeros(n_max + 1)
-    logs = np.full(n_max + 1, -math.inf)
     if lam == 0.0:
-        # H_{m,n}(0, 0) vanishes unless m == n, where it is (-1)^n n!.
-        if a == 0:
-            for n in range(n_max + 1):
-                signs[n] = -1.0 if n % 2 else 1.0
-                logs[n] = 0.0  # n! / sqrt(n! n!) = 1
-        return signs, logs
-    ml, el = _split_binary(lam)
-    ln2 = math.log(2.0)
-    half_global = 0.5 * a * math.log(lam)
-    for n, (d, _) in enumerate(_hermite_diagonal(a, ml, 0, el, n_max)):
-        if d == 0:
-            continue
-        signs[n] = 1.0 if d > 0 else -1.0
-        logs[n] = (
-            math.log(abs(d)) - n * el * ln2 + half_global
-            - 0.5 * (log_factorial(n + a) + log_factorial(n))
-        )
-    return signs, logs
+        # H_{m,n}(0, 0) vanishes unless m == n, where it is (-1)^n n!: n! / sqrt(n! n!) = 1
+        if a:
+            return np.zeros(n_max + 1), np.full(n_max + 1, -math.inf)
+        return np.where(np.arange(n_max + 1) % 2, -1.0, 1.0), np.zeros(n_max + 1)
+    log_d, phases, lf_n, lf_na = _diagonal_logs(a, complex(lam), n_max)
+    signs = np.where(phases > 0, -1.0, 1.0)
+    signs[log_d == -math.inf] = 0.0
+    return signs, log_d + 0.5 * a * math.log(lam) - 0.5 * (lf_na + lf_n)
 
 
 def build_hermite_reference(q: int, lam: float, trunc: TruncationPolicy) -> ChargeState:
@@ -415,8 +402,7 @@ def build_hermite_reference(q: int, lam: float, trunc: TruncationPolicy) -> Char
     between the Hermite reference and the closed-form states.
     """
     signs, logs = hermite_reference_terms(q, lam, trunc.n_max)
-    phases = np.where(signs < 0, math.pi, 0.0)
-    return _materialize(q, complex(lam), nl.unity(), logs, phases)
+    return _materialize(q, complex(lam), nl.unity(), logs, np.where(signs < 0, math.pi, 0.0))
 
 
 # ---------------------------------------------------------------------------

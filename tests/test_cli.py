@@ -4,13 +4,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargestate import cli
@@ -98,6 +100,22 @@ class TestExitCodes:
         assert err.startswith("chargestate: error: ") and str(target) in err
         assert target.read_text() == "a file\n"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "--f", "ps:0.5", "--q", "1", "--xi", "5", "--nmax", "170"], 2),
+        (["build", "--f", "unity", "--q", "1", "--xi", "5", "--nmax", "3"], 0),
+    ], ids=["numeric", "ok"])
+    def test_process_exit_status(self, argv, code):
+        # python -m chargestate.cli hands main's return value to the process
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        done = subprocess.run([sys.executable, "-m", "chargestate.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        assert done.returncode == code and "Traceback" not in done.stderr
+        if code:
+            assert done.stdout == ""
+        else:
+            assert len(strict_json(done.stdout)["coeffs"]) == 4
+
     def test_memory_error_is_not_caught(self, capsys, monkeypatch):
         def raise_it(args):
             raise MemoryError
@@ -142,6 +160,12 @@ class TestBuild:
                            "--xi", "5", "--nmax", n_max)
         assert code == 2
         assert "index" in err
+
+    def test_modulus_beyond_double_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "build", "--f", "unity", "--q", "0",
+                             "--xi", "1.5e308,1.5e308", "--nmax", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("chargestate: numeric failure: ") and "at index 1;" in err
 
     def test_overflow_at_index_0_names_the_parameter(self, capsys):
         # f(2) = sinh(2 log qq) / (2 sinh(log qq)) overflows, and every q = 1
@@ -337,6 +361,26 @@ class TestHusimiCmd:
         assert code == 0 and target.stat().st_size > 4e6
         assert peak < 8e6
 
+    @pytest.mark.parametrize("bounds", [("--ymax=1", "--grid=1"), ("--ymax=inf", "--grid=3")],
+                             ids=["count", "bound"])
+    def test_lattice_refused_before_a_failing_state(self, capsys, bounds):
+        # this state overflows at index 338 (exit 2); the lattice is a usage error first
+        code, out, err = run(capsys, "husimi", "--f", "ps:0.5", "--q", "1", "--xi", "5",
+                             "--nmax", "400", "--alpha2", "1,1", "--xmin=-1", "--xmax", "1",
+                             "--ymin=-1", *bounds)
+        assert code == 1 and out == ""
+        assert err.startswith("chargestate: error: grid ")
+
+    def test_lattice_refused_before_the_state_is_built(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("state built for a refused lattice")
+        monkeypatch.setattr(cli, "build_deformed", build)
+        code, out, err = run(capsys, "husimi", "--f", "unity", "--q", "1", "--xi", "5",
+                             "--nmax", "2000000", "--alpha2", "1,1", "--xmin=-1", "--xmax", "1",
+                             "--ymin=-1", "--ymax", "1", "--grid", "1")
+        assert code == 1 and out == ""
+        assert err == "chargestate: error: grid counts must be >= 2\n"
+
     def test_grid_too_small_rejected(self, capsys):
         code, _, _ = run(capsys, "husimi", "--f", "unity", "--q", "0", "--xi", "2",
                          "--alpha2", "0,0", "--xmin", "0", "--xmax", "1",
@@ -513,7 +557,8 @@ class TestDeterminism:
 # The input contract over argv: every command ends in exit 0, 1 or 2, with no
 # traceback or warning, and what it emits parses with finite numbers.  Each
 # group of flags takes ordinary values or, for at most two groups per argv,
-# extreme or malformed ones.
+# extreme or malformed ones.  An extreme count or charge is a usage error
+# whatever else is drawn, so an argv with one exits 1.
 EXTREME = st.sampled_from(["0", "-3", "1e308", "-1e308", "1.7e308", "-1.7e308", "5e-324",
                            "-5e-324", "nan", "inf", "-inf", "abc", "", "1e", "2,"])
 # a range may also span the whole double range: both ends finite, the width not
@@ -538,6 +583,7 @@ BAD_NMAX = st.sampled_from([-1, MAX_OCCUPATIONS, MAX_OCCUPATIONS + 1, 2**31])
 BAD_STEPS = st.sampled_from([-1, 0, 1, cli.MAX_SWEEP_STEPS + 1, 2**31])
 BAD_GRID = st.sampled_from([-1, 0, 1, math.isqrt(MAX_GRID_NODES) + 1, 2**31])
 BAD_CHARGE = st.sampled_from([MAX_OCCUPATIONS, -MAX_OCCUPATIONS, 2**31, -2**31])
+USAGE_FLAGS = {"--q", "--nmax", "--nmax2", "--steps", "--grid"}
 
 
 def _flag(name, good, bad):
@@ -552,12 +598,13 @@ def _range(low, high, good):
 
 @st.composite
 def _argv(draw, command, *groups):
-    """argv of one command from flag groups, values in attached form."""
+    """(argv, usage) of one command from flag groups, values in attached form;
+    usage tells whether a group of USAGE_FLAGS drew an extreme value."""
     extreme = draw(st.sets(st.sampled_from(range(len(groups))), max_size=2))
     argv = [command]
     for i, (names, good, bad) in enumerate(groups):
         argv += [f"{name}={v}" for name, v in zip(names, draw(bad if i in extreme else good))]
-    return argv
+    return argv, any(set(groups[i][0]) <= USAGE_FLAGS for i in extreme)
 
 
 SPEC_AND_CHARGE = (_flag("--f", SPEC, BAD_SPEC), _flag("--q", st.integers(-4, 4), BAD_CHARGE))
@@ -603,9 +650,13 @@ def check_emitted(name, text):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(argv=COMMANDS)
-def test_every_argv_exits_cleanly(argv):
+@given(case=COMMANDS)
+@example(case=(["husimi", "--f=ps:0.5", "--q=1", "--xi=5", "--alpha2=1,1", "--xmin=-1",
+                "--xmax=1", "--ymin=-1", "--ymax=1", "--grid=1", "--nmax=400"], True))
+def test_every_argv_exits_cleanly(case):
+    argv, usage = case
     code, out = run_clean(argv)
+    assert code == 1 or not usage
     if code:
         assert out == ""
     else:
@@ -613,12 +664,14 @@ def test_every_argv_exits_cleanly(argv):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(argv=_argv("figures", _flag("--nmax", st.integers(3, 40), BAD_NMAX),
+@given(case=_argv("figures", _flag("--nmax", st.integers(3, 40), BAD_NMAX),
                   _flag("--steps", st.integers(2, 8), BAD_STEPS),
                   _flag("--grid", st.integers(2, 8), BAD_GRID)))
-def test_figures_argv_exits_cleanly(argv):
+def test_figures_argv_exits_cleanly(case):
+    argv, usage = case
     with tempfile.TemporaryDirectory() as outdir:
         code, out = run_clean([*argv, f"--outdir={outdir}"])
+        assert code == 1 or not usage
         assert out == ""
         written = list(Path(outdir).iterdir())
         assert code or len(written) == 44

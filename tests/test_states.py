@@ -111,6 +111,16 @@ class TestBuildDeformed:
             build_deformed(f, 1, 5.0, TruncationPolicy(n_max))
         assert err.value.index == index
 
+    @pytest.mark.parametrize("call", [
+        lambda xi: build_deformed(unity(), 0, xi, TruncationPolicy(3)),
+        lambda xi: convergence_report(unity(), 0, xi, 3, 6),
+    ], ids=["build", "convergence"])
+    def test_modulus_beyond_double_range_raises(self, call):
+        # both parts of c_1 are finite, but abs(c_1) raises OverflowError
+        with pytest.raises(LadderOverflowError) as err:
+            call(1.5e308 + 1.5e308j)
+        assert err.value.index == 1
+
     def test_rescaling_keeps_norm_and_counts(self):
         state = build_deformed(penson_solomon(0.5), 3, 5.0, TruncationPolicy(300))
         assert state.rescale_count >= 1
