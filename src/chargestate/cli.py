@@ -27,6 +27,8 @@ from .nonlinearity import parse_spec
 from .states import (
     DIAG_TOL,
     TruncationPolicy,
+    _check_cutoffs,
+    _ladder_count,
     build_deformed,
     convergence_report,
     eigen_residual,
@@ -225,9 +227,7 @@ def _pnd_csv(args) -> list[str]:
 
 
 def _husimi_csv(args) -> itertools.chain[str]:
-    alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")
-    x_range, y_range = (args.xmin, args.xmax, args.grid), (args.ymin, args.ymax, args.grid)
-    hq._check_lattice(x_range, y_range)  # before the state, which can take long or fail
+    alpha2, x_range, y_range = _husimi_inputs(args)  # before the state: it can take long or fail
     grid = hq.husimi_grid(_state(args), alpha2, x_range, y_range)
     xs, ys = (["%.17g," % v for v in axis.tolist()] for axis in grid.axes())
     rows = ("".join(["%s%s%.17g\n" % (x, y, q) for y, q in zip(ys, row.tolist())])
@@ -235,9 +235,21 @@ def _husimi_csv(args) -> itertools.chain[str]:
     return itertools.chain(["x,y,q\n"], rows)
 
 
+def _husimi_inputs(args):
+    """--alpha2 and the x and y ranges of husimi, refused without a state."""
+    alpha2 = _parse_complex_pair(args.alpha2, "--alpha2")
+    x_range, y_range = (args.xmin, args.xmax, args.grid), (args.ymin, args.ymax, args.grid)
+    hq._check_lattice(x_range, y_range)
+    return alpha2, x_range, y_range
+
+
+def _nmax2(args) -> int:
+    return args.nmax2 if args.nmax2 is not None else 2 * args.nmax
+
+
 def _verify_json(args) -> list[str]:
     f, q, xi = _inputs(args)
-    n_max2 = args.nmax2 if args.nmax2 is not None else 2 * args.nmax
+    n_max2 = _nmax2(args)
     report = convergence_report(f, q, xi, args.nmax, n_max2)
     state = report.coarse
     rows = eigen_residual(f, state)
@@ -260,10 +272,14 @@ def _verify_json(args) -> list[str]:
     return [json.dumps(doc, indent=2, allow_nan=False) + "\n"]
 
 
+def _sweep_spec(args) -> SweepSpec:
+    return SweepSpec(args.diagnostic, args.xi_start, args.xi_end, args.steps, args.f, args.q,
+                     args.nmax)
+
+
 _RUNNERS = {
     "build": _build_json,
-    "sweep": lambda args: _sweep_csv(SweepSpec(args.diagnostic, args.xi_start, args.xi_end,
-                                               args.steps, args.f, args.q, args.nmax)),
+    "sweep": lambda args: _sweep_csv(_sweep_spec(args)),
     "pnd": _pnd_csv,
     "husimi": _husimi_csv,
     "verify": _verify_json,
@@ -290,11 +306,32 @@ def _figure_commands(n_max: int, steps: int, grid: int):
                       "--xmin=-6.0", "--xmax=6.0", "--ymin=-6.0", "--ymax=6.0", f"--grid={grid}")
 
 
+def _refuse_early(command):
+    """Raise the usage errors of one figures command that need no state."""
+    if command.command == "sweep":
+        parse_spec(_sweep_spec(command).f_spec)
+    else:
+        _inputs(command)
+    n_max = command.nmax
+    if command.command == "husimi":
+        _husimi_inputs(command)
+    elif command.command == "verify":
+        n_max = _nmax2(command)
+        _check_cutoffs(command.nmax, n_max)
+    TruncationPolicy(n_max)
+    _ladder_count(n_max, abs(command.q))
+
+
 def _write_figures(args):
+    """Every command is parsed and refused where it can be before the first
+    file is written, so a usage error leaves no partial data set."""
+    commands = [(name, build_parser().parse_args(argv))
+                for name, argv in _figure_commands(args.nmax, args.steps, args.grid)]
+    for _, command in commands:
+        _refuse_early(command)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, argv in _figure_commands(args.nmax, args.steps, args.grid):
-        command = build_parser().parse_args(argv)
+    for name, command in commands:
         _emit(_RUNNERS[command.command](command), outdir / name)
     print(f"figure data written to {outdir}", file=sys.stderr)
 

@@ -1,7 +1,7 @@
 """Photon statistics and nonclassicality criteria for ladder states.
 
-All quantities are weighted sums of the squared coefficients over the
-truncated ladder, accumulated with fsum in a fixed serial order.  Criteria
+All quantities derive from three weighted sums of the squared coefficients
+over the truncated ladder, each accumulated with fsum.  Criteria
 whose defining denominator vanishes are reported as None (an explicit
 "undefined" value), never as NaN.
 
@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .states import ChargeState
+from .states import ChargeState, _occupation_offsets
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,9 @@ class MomentSet:
     """The mode-occupation moments entering the nonclassicality criteria.
 
     aa_corr and bb_corr are the normally ordered pair moments <a+a+ a a> and
-    <b+b+ b b>; on a fixed-charge ladder they equal <n^2> - <n> exactly, but
-    they are summed directly because the difference rounds differently.
+    <b+b+ b b>.  With occupations n + lo and n + hi at ladder index n, every
+    field is a combination of S0 = sum w, S1 = sum w n and F2 = sum w n (n-1),
+    w = |c_n|^2, whose coefficients are >= 0, so nothing cancels.
     """
 
     mean_na: float
@@ -41,23 +42,16 @@ class MomentSet:
 
 def moments(state: ChargeState) -> MomentSet:
     """Occupation moments of the two modes over the truncated ladder."""
-    na, nb = state.occupations()
     w = np.abs(state.coeffs) ** 2
-    naf = na.astype(float)
-    nbf = nb.astype(float)
-
-    def wsum(values):
-        return math.fsum((w * values).tolist())
-
-    return MomentSet(
-        mean_na=wsum(naf),
-        mean_na2=wsum(naf * naf),
-        mean_nb=wsum(nbf),
-        mean_nb2=wsum(nbf * nbf),
-        aa_corr=wsum(naf * (naf - 1.0)),
-        bb_corr=wsum(nbf * (nbf - 1.0)),
-        cross=wsum(naf * nbf),
-    )
+    n = np.arange(state.n_max + 1, dtype=float)
+    s0, s1, f2 = (math.fsum(v.tolist()) for v in (w, w * n, w * (n * (n - 1.0))))
+    lo, hi = _occupation_offsets(state.q)
+    # an occupation m = n + k has m (m-1) = n (n-1) + 2k n + k (k-1)
+    mean_na, mean_nb = s1 + lo * s0, s1 + hi * s0
+    aa_corr, bb_corr = (f2 + 2 * k * s1 + k * (k - 1) * s0 for k in (lo, hi))
+    return MomentSet(mean_na=mean_na, mean_na2=aa_corr + mean_na, mean_nb=mean_nb,
+                     mean_nb2=bb_corr + mean_nb, aa_corr=aa_corr, bb_corr=bb_corr,
+                     cross=f2 + (1 + lo + hi) * s1 + lo * hi * s0)
 
 
 def _mandel(mean: float, mean2: float) -> Optional[float]:

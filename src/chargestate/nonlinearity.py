@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ParameterRangeError, SpecParseError
 
 UNITY = "unity"
@@ -34,15 +36,13 @@ class NonlinearityFunction:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind == UNITY:
-            formula = lambda n: 1.0
+        if self.kind in (UNITY, INTENSITY_SQRT):
+            formula = None  # values evaluates these with numpy
         elif self.kind == PENSON_SOLOMON:
             p = self.params.get("p")
             if p is None or not (0.0 < p <= 1.0):
                 raise ParameterRangeError(f"penson_solomon requires p in (0, 1], got {p}")
             formula = lambda n: p ** (1 - n)
-        elif self.kind == INTENSITY_SQRT:
-            formula = math.sqrt
         elif self.kind == Q_DEFORMED:
             qq = self.params.get("qq")
             if qq is None or not math.isfinite(qq) or qq <= 0.0 or qq == 1.0:
@@ -61,15 +61,21 @@ class NonlinearityFunction:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         object.__setattr__(self, "_formula", formula)
 
-    def values(self, count: int) -> list[float]:
-        """f(0), ..., f(count - 1), inf from the first n whose formula overflows."""
+    def values(self, count: int) -> np.ndarray:
+        """f(0), ..., f(count - 1) as a float array, inf from the first n whose
+        formula overflows.  numpy evaluates unity and sqrt, whose sqrt is correctly
+        rounded; ps and qdef keep float pow and math.sinh, as numpy's can differ."""
+        if self.kind == UNITY:
+            return np.ones(count)
+        if self.kind == INTENSITY_SQRT:
+            return np.sqrt(np.arange(count, dtype=float))
         out = []
         try:
             for n in range(count):
                 out.append(self._formula(n))
         except OverflowError:
             out += [math.inf] * (count - len(out))
-        return out
+        return np.array(out, dtype=float)
 
     def label(self) -> str:
         """Spec string that parses back to this catalog entry."""

@@ -143,6 +143,14 @@ def _occupation_offsets(q: int) -> tuple[int, int]:
     return (q, 0) if q >= 0 else (0, -q)
 
 
+def _ladder_count(n_max: int, a: int) -> int:
+    """Occupations of the ladder of charge |q| = a; every builder refuses first."""
+    count = n_max + a + 2
+    if count > MAX_OCCUPATIONS:
+        raise PreconditionError(f"ladder of {count} occupations exceeds {MAX_OCCUPATIONS}")
+    return count
+
+
 def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
     """Tridiagonal matrix of the deformed pairing operator on the ladder.
 
@@ -160,10 +168,8 @@ def ladder_elements(f: nl.NonlinearityFunction, q: int, n_max: int):
     occupations raise PreconditionError.
     """
     lo, hi = _occupation_offsets(q)
-    count = n_max + lo + hi + 2
-    if count > MAX_OCCUPATIONS:
-        raise PreconditionError(f"ladder of {count} occupations exceeds {MAX_OCCUPATIONS}")
-    fv = np.array(f.values(count), dtype=float)
+    count = _ladder_count(n_max, lo + hi)
+    fv = np.asarray(f.values(count), dtype=float)
     na = np.arange(lo, lo + n_max + 1)
     nb = np.arange(hi, hi + n_max + 1)
     off = np.zeros(n_max + 2)
@@ -194,19 +200,21 @@ def _recursion_states(
         raise PreconditionError(f"non-finite coordinate {xi!r}")
     n_max = cutoffs[-1]
     diag, off = ladder_elements(f, q, n_max)
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = cur = 1.0 + 0.0j
-    below = 0.0j
+    # a real xi steps Python floats, which round as the real parts of complex
+    x, kind = (xi.real, float) if xi.imag == 0 else (xi, complex)
+    c = np.zeros(n_max + 1, dtype=kind)
+    c[0] = cur = kind(1.0)
+    below = kind(0.0)
     log_scale = 0.0
     rescales = 0
     states = []
     n = 0
     # step n computes ((xi - d_n) c_n - t_n c_{n-1}) * (1 / t_{n+1}); the
-    # reciprocal multiply rounds as numpy's complex-by-real division does
+    # reciprocal multiplies round as numpy's complex-by-real division does
     for stop in cutoffs:
         while n < stop:
             end = min(stop, n + _STEP_CHUNK)
-            for s, t_n, r in zip((xi - diag[n:end]).tolist(), off[n:end].tolist(),
+            for s, t_n, r in zip((x - diag[n:end]).tolist(), off[n:end].tolist(),
                                  (1.0 / off[n + 1 : end + 1]).tolist()):
                 nxt = (s * cur - t_n * below) * r
                 below, cur = cur, nxt
@@ -220,8 +228,8 @@ def _recursion_states(
                     m = np.abs(c[: n + 1]).max()
                     if not math.isfinite(m):
                         raise LadderOverflowError(n)
-                    c[: n + 1] /= m
-                    below, cur = complex(c[n - 1]), complex(c[n])
+                    c[: n + 1] *= 1.0 / m
+                    below, cur = c[n - 1].item(), c[n].item()
                     log_scale += math.log(m)
                     rescales += 1
         states.append(ChargeState.from_raw(q, xi, f, c[: stop + 1], log_scale=log_scale,
@@ -331,8 +339,9 @@ def _diagonal_logs(a: int, xi: complex, n_max: int):
             fr, fi = ar / (1 << drop), ai / (1 << drop)  # int true division rounds correctly
             log_d[n] = 0.5 * math.log(fr * fr + fi * fi) + (drop - n * ee) * ln2
             phases[n] = math.atan2(fi, fr)
-    lf = np.array([math.lgamma(k + 1) for k in range(n_max + a + 1)])
-    return log_d, phases, lf[: n_max + 1], lf[a:]
+    lf = [math.lgamma(k + 1) for k in range(n_max + 1)]
+    lf_a = lf[a:] + [math.lgamma(k + 1) for k in range(max(a, n_max + 1), n_max + a + 1)]
+    return log_d, phases, np.array(lf), np.array(lf_a)
 
 
 def _materialize(q, xi, f_spec, logs: np.ndarray, phases: np.ndarray) -> ChargeState:
@@ -341,7 +350,9 @@ def _materialize(q, xi, f_spec, logs: np.ndarray, phases: np.ndarray) -> ChargeS
     if not finite.any():
         raise DegenerateStateError("all ladder coefficients vanished")
     top = logs[finite].max()
-    raw = np.where(finite, np.exp(logs - top), 0.0) * np.exp(1j * phases)
+    # a real xi has the phases 0 and pi only: exact signs keep it real
+    turn = np.exp(1j * phases) if xi.imag else np.where(phases > 0, -1.0, 1.0)
+    raw = np.where(finite, np.exp(logs - top), 0.0) * turn
     return ChargeState.from_raw(q, xi, f_spec, raw, log_scale=top)
 
 
@@ -358,6 +369,7 @@ def build_linear_closed(q: int, xi: complex, trunc: TruncationPolicy) -> ChargeS
     prefactors are applied in log scale.
     """
     a = abs(int(q))
+    _ladder_count(trunc.n_max, a)
     xi = complex(xi)
     log_d, phases, lf_n, lf_na = _diagonal_logs(a, xi, trunc.n_max)
     # sqrt([n+a]! n!) prefactor combined with the a!/(n! (n+a)!) factored
@@ -384,6 +396,7 @@ def hermite_reference_terms(q: int, lam: float, n_max: int):
     if lam < 0:
         raise PreconditionError("lam must be >= 0")
     a = abs(int(q))
+    _ladder_count(n_max, a)
     if lam == 0.0:
         # H_{m,n}(0, 0) vanishes unless m == n, where it is (-1)^n n!: n! / sqrt(n! n!) = 1
         if a:
@@ -467,6 +480,11 @@ class ConvergenceReport:
         return {d.name: d.converged for d in self.drifts}
 
 
+def _check_cutoffs(n1: int, n2: int):
+    if not (3 <= n1 < n2):
+        raise PreconditionError("convergence_report requires 3 <= n1 < n2")
+
+
 def convergence_report(
     f: nl.NonlinearityFunction,
     q: int,
@@ -484,8 +502,7 @@ def convergence_report(
     state is flagged norm-divergent when the raw pre-normalization weight
     grows by more than NORM_DIVERGENCE_FACTOR.
     """
-    if not (3 <= n1 < n2):
-        raise PreconditionError("convergence_report requires 3 <= n1 < n2")
+    _check_cutoffs(n1, n2)
     from . import diagnostics as dg
 
     def values(state):

@@ -364,3 +364,58 @@ def husimi_disk_integral(state, radius):
     return math.pi * math.fsum(
         abs(c) ** 2 * regularized_gamma_p(int(a) + 1, x) * regularized_gamma_p(int(b) + 1, x)
         for c, a, b in zip(state.coeffs, na, nb))
+
+
+# ---------------------------------------------------------------------------
+# Occupation moments: the seven direct fsums, and exact rational sums.
+# ---------------------------------------------------------------------------
+
+def moments_direct(state):
+    """The MomentSet from seven fsums, each over the weights times its own
+    occupation product: the form diagnostics.moments had before it read every
+    field from three sums."""
+    from chargestate.diagnostics import MomentSet
+
+    na, nb = state.occupations()
+    w = np.abs(state.coeffs) ** 2
+    naf = na.astype(float)
+    nbf = nb.astype(float)
+
+    def wsum(values):
+        return math.fsum((w * values).tolist())
+
+    return MomentSet(
+        mean_na=wsum(naf),
+        mean_na2=wsum(naf * naf),
+        mean_nb=wsum(nbf),
+        mean_nb2=wsum(nbf * nbf),
+        aa_corr=wsum(naf * (naf - 1.0)),
+        bb_corr=wsum(nbf * (nbf - 1.0)),
+        cross=wsum(naf * nbf),
+    )
+
+
+def moments_exact(state):
+    """The seven MomentSet fields as exact Fractions, by name: the sums of the
+    state's own double weights |c_n|^2 times the integer occupation products.
+
+    Every weight is m / 2^k, so all are summed as integers over the largest
+    2^k: exact, and fast at any ladder length.
+    """
+    ratios = [x.as_integer_ratio() for x in (np.abs(state.coeffs) ** 2).tolist()]
+    den = max(d for _, d in ratios)
+    nums = [m * (den // d) for m, d in ratios]
+    na, nb = (v.tolist() for v in state.occupations())
+
+    def exact(products):
+        return Fraction(sum(m * k for m, k in zip(nums, products)), den)
+
+    return {
+        "mean_na": exact(na),
+        "mean_na2": exact(a * a for a in na),
+        "mean_nb": exact(nb),
+        "mean_nb2": exact(b * b for b in nb),
+        "aa_corr": exact(a * (a - 1) for a in na),
+        "bb_corr": exact(b * (b - 1) for b in nb),
+        "cross": exact(a * b for a, b in zip(na, nb)),
+    }

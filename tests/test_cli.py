@@ -502,6 +502,21 @@ class TestFigures:
         assert len([n for n in names if n.endswith(".csv")]) == 14 + 4 + 8
         assert len([n for n in names if n.endswith("_verify.json")]) == 14 + 4
 
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "1"],                              # the first husimi command, file 37
+        ["--nmax", "2"],                              # verify needs n_max >= 3
+        ["--steps", "1"],
+        ["--nmax", "-1"],
+        ["--nmax", str(MAX_OCCUPATIONS - 5)],         # q = 3 and verify's 2 n_max exceed
+    ])
+    def test_refused_figures_writes_nothing(self, capsys, tmp_path, flags):
+        out = tmp_path / "figs"
+        code, stdout, err = run(capsys, "figures", "--outdir", str(out), "--nmax", "20",
+                                "--steps", "3", *flags)
+        assert code == 1 and stdout == ""
+        assert err.startswith("chargestate: error: ")
+        assert not out.exists()
+
     def test_each_file_is_its_single_command_output(self, capsys, tmp_path):
         out = tmp_path / "figs"
         code, _, _ = run(capsys, "figures", "--outdir", str(out),
@@ -675,5 +690,6 @@ def test_figures_argv_exits_cleanly(case):
         assert out == ""
         written = list(Path(outdir).iterdir())
         assert code or len(written) == 44
+        assert code != 1 or not written  # usage errors are refused before any file
         for path in written:
             check_emitted(path.name, path.read_text())

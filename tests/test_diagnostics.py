@@ -2,6 +2,8 @@
 
 import math
 from dataclasses import fields
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from chargestate.diagnostics import (
     moments,
     photon_distribution,
 )
+from chargestate.errors import LadderOverflowError
 from chargestate.nonlinearity import intensity_sqrt, penson_solomon, q_deformed, unity
 from chargestate.states import (
     CONVERGENCE_DIAGNOSTICS,
@@ -25,7 +28,7 @@ from chargestate.states import (
     eigen_residual,
 )
 
-from _oracles import TwoModeSpace
+from _oracles import TwoModeSpace, moments_direct, moments_exact
 
 CATALOG = [unity(), penson_solomon(0.5), intensity_sqrt(), q_deformed(7.0)]
 
@@ -235,3 +238,78 @@ class TestAgainstDenseOperators:
         na, nb = state.occupations()
         for n in range(n_max + 1):
             assert rows[n] == pytest.approx(dense_rows[na[n] * dim + nb[n]], rel=1e-12, abs=1e-10)
+
+
+# Largest distance of a moments() field from the exact moment of the same
+# double weights, in ulp of that moment; the grid below measured 1.65.
+MOMENT_ULPS = 2
+# Largest error of the three-sum mandel_a and i0 over that of the seven-fsum
+# form, each floored at one ulp of its rounding scale; the grid measured 2.45.
+CRITERION_FACTOR = 4
+EXACT_FAMILIES = [unity(), intensity_sqrt(), penson_solomon(0.5), penson_solomon(0.8),
+                  q_deformed(7.0), q_deformed(1.5)]
+
+
+def _exact_i0(exact):
+    """sqrt(aa_corr bb_corr) / |cross| - 1 to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ratio = exact["aa_corr"] * exact["bb_corr"]
+        root = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).sqrt()
+        cross = abs(exact["cross"])
+        return root / (Decimal(cross.numerator) / Decimal(cross.denominator)) - 1
+
+
+class TestExactMoments:
+    """moments() against exact rational sums of the state's own weights."""
+
+    @staticmethod
+    def states(f, q):
+        for n_max in (0, 1, 80, 320):
+            for xi in (0.01, 0.3, 1.0, 5.0, 10.0, 2 + 1j):
+                try:
+                    yield build_deformed(f, q, xi, TruncationPolicy(n_max))
+                except LadderOverflowError:
+                    continue
+
+    @pytest.mark.parametrize("f", EXACT_FAMILIES, ids=lambda f: f.label())
+    @pytest.mark.parametrize("q", range(-3, 4))
+    def test_fields_within_ulps_of_exact(self, f, q):
+        built = 0
+        for state in self.states(f, q):
+            built += 1
+            got = moments(state)
+            for name, want in moments_exact(state).items():
+                value = getattr(got, name)
+                assert abs(Fraction(value) - want) <= MOMENT_ULPS * Fraction(
+                    math.ulp(float(want))), (name, state.n_max, state.xi)
+        assert built >= 12  # n_max 0 and 1 build at every xi
+
+    @pytest.mark.parametrize("f", EXACT_FAMILIES, ids=lambda f: f.label())
+    @pytest.mark.parametrize("q", range(-3, 4))
+    def test_criteria_no_farther_from_exact_than_direct_sums(self, f, q):
+        for state in self.states(f, q):
+            exact, new, old = moments_exact(state), moments(state), moments_direct(state)
+            mean, mean2 = exact["mean_na"], exact["mean_na2"]
+            if mean:
+                want = (mean2 - mean * mean) / mean - 1
+                floor = Fraction(math.ulp(float(mean2 / mean)))
+                errors = [abs(Fraction(DIAGNOSTICS["mandel_a"](m)) - want) for m in (new, old)]
+                assert errors[0] <= CRITERION_FACTOR * max(errors[1], floor), (state.n_max,
+                                                                               state.xi)
+            if exact["cross"]:
+                want = _exact_i0(exact)
+                floor = Decimal(math.ulp(float(want + 1)))
+                errors = [abs(Decimal(DIAGNOSTICS["i0"](m)) - want) for m in (new, old)]
+                assert errors[0] <= CRITERION_FACTOR * max(errors[1], floor), (state.n_max,
+                                                                               state.xi)
+
+    @pytest.mark.parametrize("q", [-2, 0, 3])
+    def test_zero_offset_mode_is_the_direct_sum(self, q):
+        # the mode at offset 0 reads S1 and F2 themselves, which are the
+        # direct sums of its mean and pair moment, bit for bit
+        names = ["mean_na", "aa_corr"] * (q <= 0) + ["mean_nb", "bb_corr"] * (q >= 0)
+        for f in EXACT_FAMILIES:
+            for state in self.states(f, q):
+                new, old = moments(state), moments_direct(state)
+                assert [getattr(new, k) for k in names] == [getattr(old, k) for k in names]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from chargestate.errors import ParameterRangeError, SpecParseError
@@ -52,7 +53,7 @@ def test_qdeformed_limit_to_unity():
 
 
 def test_penson_p1_is_unity():
-    assert penson_solomon(1.0).values(50) == [1.0] * 50
+    assert penson_solomon(1.0).values(50).tolist() == [1.0] * 50
 
 
 @pytest.mark.parametrize("f", ALL_CATALOG)
@@ -65,7 +66,24 @@ def test_values_inf_from_first_overflow(f, first):
     # float pow (ps) and math.sinh (qdef) raise OverflowError there; values gives inf
     values = f.values(first + 10)
     assert all(math.isfinite(v) for v in values[:first])
-    assert values[first:] == [math.inf] * 10
+    assert values[first:].tolist() == [math.inf] * 10
+
+
+@pytest.mark.parametrize("f, formula", [(unity(), lambda n: 1.0), (intensity_sqrt(), math.sqrt)],
+                         ids=["unity", "sqrt"])
+def test_numpy_values_are_the_scalar_formula(f, formula):
+    # numpy's sqrt is correctly rounded, so the array holds math.sqrt's doubles
+    count = 1 << 21
+    want = np.array([formula(n) for n in range(count)])
+    for n in (0, 1, 2, 83, count):
+        got = f.values(n)
+        assert got.dtype == np.float64 and got.tobytes() == want[:n].tobytes(), n
+
+
+@pytest.mark.parametrize("f", ALL_CATALOG)
+def test_values_is_a_float_array(f):
+    got = f.values(7)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (7,)
 
 
 def test_parse_examples():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chargestate.states import (
     RESCALE_LIMIT,
     ChargeState,
     TruncationPolicy,
+    _diagonal_logs,
     _hermite_diagonal,
     _recursion_states,
     build_deformed,
@@ -446,6 +448,41 @@ class TestHermiteReference:
         h = build_hermite_reference(1, lam, TruncationPolicy(60))
         c = build_linear_closed(1, math.sqrt(lam), TruncationPolicy(60))
         assert abs(np.vdot(h.coeffs, c.coeffs)) < 0.9
+
+
+class TestExactBuilders:
+    """The charge ceiling and the signs that both f = 1 builders share."""
+
+    @pytest.mark.parametrize("build", [build_linear_closed, build_hermite_reference])
+    @pytest.mark.parametrize("q", [1 << 21, -(1 << 21), MAX_OCCUPATIONS - 1])
+    def test_charge_beyond_ceiling_refused_at_once(self, build, q):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=f"exceeds {MAX_OCCUPATIONS}"):
+            build(q, 5.0, TruncationPolicy(0))
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("build", [build_linear_closed, build_hermite_reference])
+    def test_charge_at_ceiling_builds(self, build):
+        # n_max + |q| + 2 == MAX_OCCUPATIONS, as ladder_elements accepts
+        state = build(MAX_OCCUPATIONS - 2, 5.0, TruncationPolicy(0))
+        assert abs(state.coeffs[0]) == 1.0
+
+    @pytest.mark.parametrize("a", [0, 1, 4, 39, 41, 50])
+    def test_log_factorials_are_the_lgamma_values(self, a):
+        for n_max in (0, 1, 5, 40):
+            _, _, lf_n, lf_na = _diagonal_logs(a, 5.0 + 0j, n_max)
+            assert lf_n.tolist() == [math.lgamma(n + 1) for n in range(n_max + 1)]
+            assert lf_na.tolist() == [math.lgamma(n + a + 1) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("q", range(-3, 4))
+    @pytest.mark.parametrize("xi", [0.0, 0.625, 5.0, 10.875, 123.456, -2.0])
+    def test_real_xi_gives_exactly_real_coefficients(self, q, xi):
+        states = [build_linear_closed(q, xi, TruncationPolicy(40))]
+        if xi > 0 or (xi == 0 and q == 0):  # the reference's lam >= 0, nonzero for q != 0
+            states.append(build_hermite_reference(q, xi, TruncationPolicy(40)))
+        for state in states:
+            assert (state.coeffs.imag == 0).all()
+            assert (state.coeffs.real < 0).any()
 
 
 class TestTridiagonalAction:
